@@ -47,9 +47,12 @@ EXIT_VERIFY_FAILED = 3
 
 SEED_ENV_VAR = "BEEPMIS_SEED"
 
-# Reproduction presets sample powers of two; the trial counts are fixed.
-FIG3_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
+# Reproduction presets: feedback vs sweep over powers of two, fixed trial counts.
+FIG_POLICIES = ("feedback", "sweep")
+FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
+FIG3_GRAPHS = ("er:0.5",)
 FIG3_TRIALS = 100
+FIG5_GRAPHS = ("er:0.5", "grid")
 FIG5_TRIALS = 200
 
 
@@ -64,19 +67,25 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative batch experiment: one policy, one graph family, many sizes.
+    """Declarative batch experiment: policies x graph families x sizes x trials.
 
-    The per-trial seed is stable_mix(master_seed, n, trial_index) with n the
-    requested size value, so trials are independent of execution order.
+    ``policies`` and ``graphs`` hold grammar strings; a bare string stands
+    for a tuple of one.  The per-trial seed is stable_mix(master_seed, n,
+    trial_index) with n the requested size value, so trials are independent
+    of execution order and every policy and family of a trial shares it.
     """
 
-    policy: str
-    graph: str
+    policies: tuple[str, ...]
+    graphs: tuple[str, ...]
     n_values: tuple[int, ...]
     trials: int
     master_seed: int
     max_rounds: int | None = None
-    output: str | None = None
+
+    def __post_init__(self):
+        for name in ("policies", "graphs"):
+            if isinstance(getattr(self, name), str):
+                object.__setattr__(self, name, (getattr(self, name),))
 
 
 @dataclass(frozen=True)
@@ -88,18 +97,20 @@ class GraphFamily:
     param: Callable[[int], str]         # n -> CSV param column
 
 
-def _int_field(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameter(f"{what} must be an integer, got {text!r}") from None
+@dataclass(frozen=True)
+class GraphHead:
+    """One head of the graph grammars, e.g. ``er`` or ``grid``.
 
+    A single-run spec gives the ``sized`` fields and then the ``fixed`` ones,
+    comma-separated; an experiment spec gives only the fixed ones, and
+    ``size(n)`` supplies the sized values from the experiment's n.
+    """
 
-def _float_field(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidParameter(f"{what} must be a number, got {text!r}") from None
+    sized: tuple[tuple[str, type], ...]  # (label, type) per field
+    fixed: tuple[tuple[str, type], ...]
+    size: Callable[[int], tuple]         # n -> sized values
+    build: Callable[..., Graph]          # (*values, seed) -> Graph
+    param: Callable[..., str]            # (*values) -> CSV param column
 
 
 def _grid_side(n: int) -> int:
@@ -107,6 +118,44 @@ def _grid_side(n: int) -> int:
     if side * side < n:
         side += 1
     return side
+
+
+# The builders are looked up by name when called, not stored, so a caller that
+# replaces a module attribute (e.g. to time it) reaches every graph build.
+_GRAPH_HEADS = {
+    "er": GraphHead((("er node count", int),), (("er edge probability", float),), lambda n: (n,),
+                    lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p)),
+    "grid": GraphHead((("rows", int), ("cols", int)), (), lambda n: (_grid_side(n),) * 2,
+                      lambda r, c, seed: grid_graph(r, c), lambda r, c: f"{r}x{c}"),
+    "clique": GraphHead((("clique size", int),), (), lambda n: (n,),
+                        lambda d, seed: complete_graph(d), str),
+    "cliquefam": GraphHead((("family parameter", int),), (), lambda n: (n,),
+                           lambda m, seed: clique_family(m), str),
+    "path": GraphHead((("path length", int),), (), lambda n: (n,),
+                      lambda n, seed: path_graph(n), lambda n: ""),
+    "file": GraphHead((), (("path", str),), lambda n: (),
+                      lambda path, seed: _load_graph_file(path), os.path.basename),
+}
+
+
+def _parse_graph_head(spec: str, sized: bool) -> tuple[str, GraphHead, tuple]:
+    """Split spec into its head and the typed values of the fields it gives."""
+    name, sep, rest = spec.partition(":")
+    head = _GRAPH_HEADS.get(name)
+    if head is None:
+        raise InvalidParameter(f"unknown graph {spec!r}")
+    fields = head.sized + head.fixed if sized else head.fixed
+    texts = (rest.split(",") if len(fields) > 1 else [rest]) if sep else []
+    if len(texts) != len(fields):
+        labels = ",".join(label for label, _ in fields) or "no fields"
+        raise InvalidParameter(f"{name} takes {labels} here, got {spec!r}")
+    values = []
+    for text, (label, kind) in zip(texts, fields):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            raise InvalidParameter(f"{label} must be {kind.__name__}, got {text!r}") from None
+    return name, head, tuple(values)
 
 
 def parse_graph_family(spec: str) -> GraphFamily:
@@ -118,25 +167,12 @@ def parse_graph_family(spec: str) -> GraphFamily:
     smallest square grid with at least n nodes.  For ``file:`` the graph is
     fixed and n is ignored.
     """
-    head, sep, rest = spec.partition(":")
-    if head == "er" and sep:
-        p = _float_field(rest, "edge probability")
-        return GraphFamily("er", lambda n, seed: erdos_renyi(n, p, seed), lambda n: format_float(p))
-    if spec == "grid":
-        return GraphFamily(
-            "grid",
-            lambda n, seed: grid_graph(_grid_side(n), _grid_side(n)),
-            lambda n: f"{_grid_side(n)}x{_grid_side(n)}",
-        )
-    if spec == "clique":
-        return GraphFamily("clique", lambda n, seed: complete_graph(n), lambda n: str(n))
-    if spec == "cliquefam":
-        return GraphFamily("cliquefam", lambda n, seed: clique_family(n), lambda n: str(n))
-    if spec == "path":
-        return GraphFamily("path", lambda n, seed: path_graph(n), lambda n: "")
-    if head == "file" and sep:
-        return GraphFamily("file", lambda n, seed: _load_graph_file(rest), lambda n: os.path.basename(rest))
-    raise InvalidParameter(f"unknown graph family {spec!r}")
+    name, head, fixed = _parse_graph_head(spec, sized=False)
+    return GraphFamily(
+        name,
+        lambda n, seed: head.build(*head.size(n), *fixed, seed),
+        lambda n: head.param(*head.size(n), *fixed),
+    )
 
 
 def _load_graph_file(path: str) -> Graph:
@@ -151,68 +187,65 @@ def build_run_graph(spec: str, master_seed: int) -> Graph:
     ``cliquefam:<m>`` | ``path:<n>`` | ``file:<path>``.  Random families draw
     from a sub-seed of the master seed.
     """
-    head, sep, rest = spec.partition(":")
-    if head == "er" and sep:
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise InvalidParameter(f"er takes n,p, got {rest!r}")
-        n = _int_field(parts[0], "er node count")
-        p = _float_field(parts[1], "er edge probability")
-        return erdos_renyi(n, p, graph_seed(master_seed))
-    if head == "grid" and sep:
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise InvalidParameter(f"grid takes rows,cols, got {rest!r}")
-        return grid_graph(_int_field(parts[0], "rows"), _int_field(parts[1], "cols"))
-    if head == "clique" and sep:
-        return complete_graph(_int_field(rest, "clique size"))
-    if head == "cliquefam" and sep:
-        return clique_family(_int_field(rest, "family parameter"))
-    if head == "path" and sep:
-        return path_graph(_int_field(rest, "path length"))
-    if head == "file" and sep:
-        return _load_graph_file(rest)
-    raise InvalidParameter(f"unknown graph spec {spec!r}")
+    _, head, values = _parse_graph_head(spec, sized=True)
+    return head.build(*values, graph_seed(master_seed))
 
 
-def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
-    """Execute one trial of an experiment; pure function of the arguments."""
-    family = parse_graph_family(spec.graph)
-    policy = parse_policy(spec.policy)
+def run_trial(spec: ExperimentSpec, n: int, trial: int) -> list[TrialRecord]:
+    """Execute one trial of an experiment; pure function of the arguments.
+
+    Each graph family's graph is built once and every policy runs on it.
+    Records come back graph-major, then in policy order.
+    """
+    policies = [parse_policy(p) for p in spec.policies]
     trial_seed = stable_mix(spec.master_seed, n, trial)
-    g = family.build(n, graph_seed(trial_seed))
-    result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
-    return record_from_run(policy.name, family.name, family.param(n), trial, trial_seed, result)
+    records = []
+    for family in map(parse_graph_family, spec.graphs):
+        g = family.build(n, graph_seed(trial_seed))
+        param = family.param(n)
+        for policy in policies:
+            result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
+            records.append(record_from_run(policy.name, family.name, param, trial, trial_seed, result))
+    return records
 
 
-def _run_trial_task(task: tuple[ExperimentSpec, int, int]) -> TrialRecord:
+def _run_trial_task(task: tuple[ExperimentSpec, int, int]) -> list[TrialRecord]:
     spec, n, trial = task
     return run_trial(spec, n, trial)
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
-    """Run trials x |n_values| runs; rows come back sorted by (n, trial).
+    """Run trials x |n_values| trials of every (graph family, policy) pair.
 
-    Trials may execute in parallel; the sort (stable, so families that map
-    several requested sizes to one node count keep spec order) makes the
-    result independent of scheduling.
+    Rows come back graph-major, then policy-major, then sorted by (n,
+    trial).  Trials may execute in parallel; the sort (stable, so families
+    that map several requested sizes to one node count keep spec order)
+    makes the result independent of scheduling.
     """
     if spec.trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {spec.trials}")
     for n in spec.n_values:
         if n < 1:
             raise InvalidParameter(f"n values must be >= 1, got {n}")
-    parse_graph_family(spec.graph)  # fail fast on bad grammar
-    parse_policy(spec.policy)
+    for graph in spec.graphs:  # fail fast on bad grammar, before any trial runs
+        parse_graph_family(graph)
+    for policy in spec.policies:
+        parse_policy(policy)
     tasks = [(spec, n, trial) for n in spec.n_values for trial in range(spec.trials)]
     if jobs <= 1:
-        records = [run_trial(spec, n, trial) for _, n, trial in tasks]
+        per_trial = [run_trial(spec, n, trial) for _, n, trial in tasks]
     else:
-        chunk = max(1, len(tasks) // (jobs * 8))
+        # Largest n first and small chunks, so the pool ends on its cheapest
+        # trials and no worker idles long while the other finishes.
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+        chunk = max(1, len(tasks) // (jobs * 32))
+        per_trial = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
-    records.sort(key=lambda r: (r.n, r.trial))
-    return records
+            done = pool.map(_run_trial_task, [tasks[i] for i in order], chunksize=chunk)
+            for i, records in zip(order, done):
+                per_trial[i] = records
+    # Column k of per_trial holds every trial of the k-th (graph, policy) pair.
+    return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]
 
 
 def _group_keys(records: list[TrialRecord]) -> list[tuple[str, str, int]]:
@@ -294,40 +327,24 @@ def _print_witnesses(report) -> None:
         print(f"witness: vertex {report.witness_vertex} addable")
 
 
-def cmd_experiment(args) -> int:
-    spec = ExperimentSpec(
-        policy=args.policy,
-        graph=args.graph,
-        n_values=tuple(args.n),
-        trials=args.trials,
-        master_seed=_resolve_seed(args.seed),
-        max_rounds=args.max_rounds,
-        output=args.output,
-    )
+def _run_batch(args, graphs, policies, n_values, trials: int, max_rounds=None) -> list[TrialRecord]:
+    """Run one experiment for a batch command and write its CSV to --output."""
+    spec = ExperimentSpec(tuple(policies), tuple(graphs), tuple(n_values), trials,
+                          _resolve_seed(args.seed), max_rounds)
     records = run_experiment(spec, jobs=args.jobs)
-    write_records(spec.output, records)
+    write_records(args.output, records)
+    return records
+
+
+def cmd_experiment(args) -> int:
+    records = _run_batch(args, [args.graph], [args.policy], args.n, args.trials, args.max_rounds)
     print_summaries(records)
-    print(f"wrote {len(records)} rows to {spec.output}")
+    print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK
 
 
 def cmd_lowerbound(args) -> int:
-    master = _resolve_seed(args.seed)
-    for m in args.m:
-        if m < 1:
-            raise InvalidParameter(f"m must be >= 1, got {m}")
-    records: list[TrialRecord] = []
-    for policy_name in args.policies:
-        spec = ExperimentSpec(
-            policy=policy_name,
-            graph="cliquefam",
-            n_values=tuple(args.m),
-            trials=args.trials,
-            master_seed=master,
-            max_rounds=args.max_rounds,
-        )
-        records.extend(run_experiment(spec, jobs=args.jobs))
-    write_records(args.output, records)
+    records = _run_batch(args, ["cliquefam"], args.policies, args.m, args.trials, args.max_rounds)
     print_summaries(records)
     # Paired comparison: same trial seeds for every policy at a given m.
     if len(args.policies) == 2:
@@ -366,13 +383,8 @@ def cmd_verify(args) -> int:
 
 def cmd_reproduce_fig3(args) -> int:
     """Round-count scaling comparison: feedback vs sweep on G(n, 1/2), 100 trials."""
-    master = _resolve_seed(args.seed)
-    ns = tuple(args.n) if args.n else FIG3_N_VALUES
-    records: list[TrialRecord] = []
-    for policy_name in ("feedback", "sweep"):
-        spec = ExperimentSpec(policy_name, "er:0.5", ns, FIG3_TRIALS, master)
-        records.extend(run_experiment(spec, jobs=args.jobs))
-    write_records(args.output, records)
+    ns = args.n or FIG_N_VALUES
+    records = _run_batch(args, FIG3_GRAPHS, FIG_POLICIES, ns, FIG3_TRIALS)
     for n in ns:
         fb = filter_terminated([r for r in records if r.policy == "feedback" and r.n == n])
         sw = filter_terminated([r for r in records if r.policy == "sweep" and r.n == n])
@@ -388,14 +400,7 @@ def cmd_reproduce_fig3(args) -> int:
 
 def cmd_reproduce_fig5(args) -> int:
     """Beeps-per-node scaling: feedback vs sweep on G(n, 1/2) and square grids, 200 trials."""
-    master = _resolve_seed(args.seed)
-    ns = tuple(args.n) if args.n else FIG3_N_VALUES
-    records: list[TrialRecord] = []
-    for family in ("er:0.5", "grid"):
-        for policy_name in ("feedback", "sweep"):
-            spec = ExperimentSpec(policy_name, family, ns, FIG5_TRIALS, master)
-            records.extend(run_experiment(spec, jobs=args.jobs))
-    write_records(args.output, records)
+    records = _run_batch(args, FIG5_GRAPHS, FIG_POLICIES, args.n or FIG_N_VALUES, FIG5_TRIALS)
     print_summaries(records)
     print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK

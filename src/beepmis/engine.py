@@ -135,11 +135,12 @@ def step(state: SimState, graph: Graph, rng) -> RoundOutcome:
         state.active = active
 
     # Survivors only: nodes deactivated this round receive no policy update.
-    if policy.needs_node_updates:
-        update_node = policy.update_node
-        for v in active:
-            update_node(pstate, v, bool(masks[v] & beeped_mask))
-    policy.end_round(pstate)
+    if p_uniform is None:
+        heard = [v for v in active if masks[v] & beeped_mask]
+        silent = [v for v in active if not masks[v] & beeped_mask]
+        policy.update(pstate, heard, silent)
+    else:
+        policy.end_round(pstate)
     state.round += 1
 
     return RoundOutcome(

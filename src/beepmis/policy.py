@@ -1,9 +1,12 @@
 """Beep-probability policies: per-node local feedback, global sweep, constant.
 
-A policy owns all per-run probability state.  The engine talks to policies
-through four calls: ``initial_state``, ``uniform_probability`` (fast path for
-node-independent policies), ``beep_probability``, and the two update hooks
-``update_node`` / ``end_round``.
+A policy owns all per-run probability state, made by ``initial_state``.  Each
+round the engine first calls ``uniform_probability(state)``.  A
+node-independent policy returns the probability every active node beeps with
+this round, and afterwards receives ``end_round(state)``.  A per-node policy
+returns None; the engine then asks ``beep_probability(state, node)`` for each
+active node, and afterwards calls ``update(state, heard, silent)`` with the
+surviving nodes that heard at least one beep and those that heard silence.
 """
 
 from __future__ import annotations
@@ -13,39 +16,21 @@ from math import isqrt, ldexp
 
 from .errors import InvalidParameter
 
-# Smallest positive double is 2^-1074; clamp exponents there so probabilities
-# stay strictly positive even on adversarially long runs.
-_MAX_EXPONENT = 1074
-# Underflow floor for generalized (non power-of-two) adjustment factors.
-_MIN_GENERAL_PROBABILITY = 2.0 ** -64
-
-_DYADIC = [ldexp(1.0, -k) for k in range(_MAX_EXPONENT + 1)]
-
-
-@dataclass
-class LocalFeedbackState:
-    """Per-node state for the feedback rule.
-
-    Exactly one of the two lists is used: integer exponents in the default
-    dyadic mode (probability is exactly 2^-exponent), float probabilities in
-    generalized mode.
-    """
-
-    exponents: list[int] | None = None
-    probabilities: list[float] | None = None
+# Floor for every adjustment factor, so probabilities stay strictly positive
+# and never become subnormal even on adversarially long runs.
+_MIN_PROBABILITY = 2.0 ** -64
 
 
 class LocalFeedback:
     """Each node adapts its own beep probability from what it heard.
 
-    A node that heard at least one beep in a round divides its probability by
-    the adjustment factor; a node that heard silence multiplies by the same
-    factor, clamped at the cap.  Defaults (factor 2, start 1/2, cap 1/2) keep
-    every probability an exact dyadic rational via integer exponents that
-    start at 1 and never drop below 1.
+    The state is one float probability per node.  A node that heard at least
+    one beep in a round divides its probability by the adjustment factor,
+    floored at 2^-64; a node that heard silence multiplies it by the same
+    factor, clamped at the cap.  With the defaults (factor 2, start 1/2, cap
+    1/2) every probability is exactly 2^-e for an integer e >= 1, because
+    halving and doubling a float above the floor is exact.
     """
-
-    needs_node_updates = True
 
     def __init__(self, factor: float = 2.0, initial: float = 0.5, cap: float = 0.5):
         if not factor > 1.0:
@@ -57,47 +42,31 @@ class LocalFeedback:
         self.factor = float(factor)
         self.initial = float(initial)
         self.cap = float(cap)
-        self._exact = factor == 2.0 and initial == 0.5 and cap == 0.5
 
     @property
     def name(self) -> str:
-        if self._exact:
+        if (self.factor, self.initial, self.cap) == (2.0, 0.5, 0.5):
             return "feedback"
         return f"feedback:f={self.factor:g},init={self.initial:g},cap={self.cap:g}"
 
-    def initial_state(self, node_count: int) -> LocalFeedbackState:
-        if self._exact:
-            return LocalFeedbackState(exponents=[1] * node_count)
-        return LocalFeedbackState(probabilities=[self.initial] * node_count)
+    def initial_state(self, node_count: int) -> list[float]:
+        return [self.initial] * node_count
 
-    def uniform_probability(self, state: LocalFeedbackState) -> float | None:
+    def uniform_probability(self, state: list[float]) -> None:
         return None
 
-    def beep_probability(self, state: LocalFeedbackState, node: int) -> float:
-        if state.exponents is not None:
-            return _DYADIC[min(state.exponents[node], _MAX_EXPONENT)]
-        return state.probabilities[node]
+    def beep_probability(self, state: list[float], node: int) -> float:
+        return state[node]
 
-    def update_node(self, state: LocalFeedbackState, node: int, heard_beep: bool) -> None:
-        """Apply the feedback rule to one still-active node after a round.
-
-        heard_beep=True halves the probability (exponent + 1); heard_beep=False
-        doubles it, clamped at the cap (exponent - 1, floored at 1).
-        """
-        if state.exponents is not None:
-            if heard_beep:
-                state.exponents[node] += 1
-            elif state.exponents[node] > 1:
-                state.exponents[node] -= 1
-        else:
-            p = state.probabilities[node]
-            if heard_beep:
-                state.probabilities[node] = max(p / self.factor, _MIN_GENERAL_PROBABILITY)
-            else:
-                state.probabilities[node] = min(p * self.factor, self.cap)
-
-    def end_round(self, state: LocalFeedbackState) -> None:
-        pass
+    def update(self, state: list[float], heard: list[int], silent: list[int]) -> None:
+        """Apply the feedback rule to the still-active nodes after a round."""
+        factor, cap, floor = self.factor, self.cap, _MIN_PROBABILITY
+        for v in heard:
+            p = state[v] / factor
+            state[v] = p if p > floor else floor
+        for v in silent:
+            p = state[v] * factor
+            state[v] = p if p < cap else cap
 
 
 def sweep_phase_position(step: int) -> tuple[int, int]:
@@ -116,59 +85,48 @@ def sweep_phase_position(step: int) -> tuple[int, int]:
 
 
 @dataclass
-class GlobalSweepState:
-    """Global step counter for the sweep schedule (1-based)."""
+class ScheduleState:
+    """Global step counter of a node-independent schedule (1-based)."""
 
     step: int = 1
 
-    @property
-    def phase(self) -> int:
-        return sweep_phase_position(self.step)[0]
 
-    @property
-    def position(self) -> int:
-        return sweep_phase_position(self.step)[1]
+class Schedule:
+    """Node-independent policy: in global step s every active node beeps with
+    probability ``at(s)``."""
+
+    def at(self, step: int) -> float:
+        raise NotImplementedError
+
+    def initial_state(self, node_count: int) -> ScheduleState:
+        return ScheduleState()
+
+    def uniform_probability(self, state: ScheduleState) -> float:
+        return self.at(state.step)
+
+    def beep_probability(self, state: ScheduleState, node: int) -> float:
+        return self.at(state.step)
+
+    def end_round(self, state: ScheduleState) -> None:
+        state.step += 1
 
 
-class GlobalSweep:
-    """Preset node-independent schedule: probability 1 at the start of each
-    phase, halved on every following step of the phase; phase k has k+1 steps.
+class GlobalSweep(Schedule):
+    """Preset schedule: probability 1 at the start of each phase, halved on
+    every following step of the phase; phase k has k+1 steps.
 
     Produces the sequence 1, 1/2, 1, 1/2, 1/4, 1, 1/2, 1/4, 1/8, ...
     """
 
-    needs_node_updates = False
     name = "sweep"
 
-    def initial_state(self, node_count: int) -> GlobalSweepState:
-        return GlobalSweepState(step=1)
-
-    def uniform_probability(self, state: GlobalSweepState) -> float:
-        _, position = sweep_phase_position(state.step)
-        return _DYADIC[min(position, _MAX_EXPONENT)]
-
-    def beep_probability(self, state: GlobalSweepState, node: int) -> float:
-        return self.uniform_probability(state)
-
-    def update_node(self, state: GlobalSweepState, node: int, heard_beep: bool) -> None:
-        pass
-
-    def end_round(self, state: GlobalSweepState) -> None:
-        """Advance the global step; phase and position follow from the closed form."""
-        state.step += 1
+    def at(self, step: int) -> float:
+        # 2^-1074 is the smallest positive double: the probability stays > 0.
+        return ldexp(1.0, -min(sweep_phase_position(step)[1], 1074))
 
 
-@dataclass
-class ConstantState:
-    """Fixed probability shared by every node and round."""
-
-    probability: float
-
-
-class Constant:
+class Constant(Schedule):
     """Control policy: every node beeps with the same fixed probability."""
-
-    needs_node_updates = False
 
     def __init__(self, probability: float):
         if not 0.0 < probability <= 1.0:
@@ -179,20 +137,8 @@ class Constant:
     def name(self) -> str:
         return f"const:{self.probability:g}"
 
-    def initial_state(self, node_count: int) -> ConstantState:
-        return ConstantState(self.probability)
-
-    def uniform_probability(self, state: ConstantState) -> float:
-        return state.probability
-
-    def beep_probability(self, state: ConstantState, node: int) -> float:
-        return state.probability
-
-    def update_node(self, state: ConstantState, node: int, heard_beep: bool) -> None:
-        pass
-
-    def end_round(self, state: ConstantState) -> None:
-        pass
+    def at(self, step: int) -> float:
+        return self.probability
 
 
 def parse_policy(text: str):

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+import beepmis.cli as cli
+import beepmis.engine as engine
 from beepmis import InvalidParameter, read_records
 from beepmis.cli import (
     EXIT_NOT_TERMINATED,
@@ -207,6 +209,15 @@ class TestExperiment:
         main(argv + ["--output", str(b), "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jobs_keep_spec_order_of_equal_sizes(self, tmp_path, capsys):
+        # the pool runs large n first; 10, 16 and 12 all map to a 4x4 grid
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["experiment", "--graph", "grid", "--policy", "feedback",
+                "--n", "10", "16", "12", "--trials", "3", "--seed", "5"]
+        main(argv + ["--output", str(a), "--jobs", "1"])
+        main(argv + ["--output", str(b), "--jobs", "2"])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_trial_seeds_follow_stable_mix(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"
         main(["experiment", "--graph", "path", "--policy", "sweep",
@@ -225,7 +236,49 @@ class TestExperiment:
         assert code == EXIT_USAGE
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestEntryPoints:
+    def test_experiment_reaches_module_globals(self, tmp_path, monkeypatch, capsys):
+        # tools that time a layer replace these module attributes
+        builds = count_calls(monkeypatch, cli, "erdos_renyi")
+        runs = count_calls(monkeypatch, engine, "run")
+        code = main(["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "8",
+                     "--trials", "2", "--seed", "1", "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_OK
+        assert len(builds) == 2 and len(runs) == 2
+
+    def test_graph_built_once_per_trial(self, monkeypatch):
+        builds = count_calls(monkeypatch, cli, "erdos_renyi")
+        runs = count_calls(monkeypatch, engine, "run")
+        spec = ExperimentSpec(("feedback", "sweep", "const:0.5"), "er:0.5", (8, 12), 3, 1)
+        records = run_experiment(spec)
+        assert len(builds) == 6 and len(runs) == 18
+        assert [r.policy for r in records] == ["feedback"] * 6 + ["sweep"] * 6 + ["const:0.5"] * 6
+        assert [(r.n, r.trial) for r in records[:6]] == [(n, t) for n in (8, 12) for t in range(3)]
+
+
 class TestLowerbound:
+    def test_bad_policy_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        runs = count_calls(monkeypatch, engine, "run")
+        out = tmp_path / "lb.csv"
+        code = main(["lowerbound", "--policies", "feedback", "bogus", "--m", "2",
+                     "--trials", "2", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert len(runs) == 0
+        assert not out.exists()
+
     def test_smoke(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"
         code = main(["lowerbound", "--m", "2", "3", "--trials", "3", "--seed", "4",

@@ -40,7 +40,7 @@ class TestStep:
         assert outcome.joined_mis == frozenset()
         assert outcome.newly_inactive == frozenset()
         # both heard a beep: probabilities halve
-        assert state.policy_state.exponents == [2, 2]
+        assert state.policy_state == [0.25, 0.25]
         assert state.beep_counts == [1, 1]
 
     def test_k2_one_beeps(self):
@@ -52,8 +52,8 @@ class TestStep:
         assert state.status == [NodeStatus.IN_MIS, NodeStatus.INACTIVE_NEIGHBOUR]
         assert not state.active
         # nodes deactivated this round receive no policy update: node 1 heard
-        # a beep, but its exponent stays at 1
-        assert state.policy_state.exponents == [1, 1]
+        # a beep, but its probability stays at 1/2
+        assert state.policy_state == [0.5, 0.5]
 
     def test_k2_round1_enumeration(self):
         # all four beep patterns at p = (1/2, 1/2); join happens iff exactly
@@ -85,9 +85,9 @@ class TestStep:
         g = complete_graph(2)
         policy = LocalFeedback()
         state = new_state(g, policy)
-        state.policy_state.exponents = [3, 3]
+        state.policy_state = [0.125, 0.125]
         step(state, g, StubRNG([SILENT, SILENT]))
-        assert state.policy_state.exponents == [2, 2]
+        assert state.policy_state == [0.25, 0.25]
 
 
 class TestRun:

@@ -96,59 +96,75 @@ class TestLocalFeedback:
         policy = LocalFeedback()
         state = policy.initial_state(5)
         assert all(policy.beep_probability(state, v) == 0.5 for v in range(5))
-        assert state.exponents == [1] * 5
+        assert state == [0.5] * 5
 
     def test_floor_at_one(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        policy.update_node(state, 0, heard_beep=False)
-        assert state.exponents[0] == 1
+        policy.update(state, heard=[], silent=[0])
+        assert state[0] == 0.5
 
     def test_heard_increments(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        policy.update_node(state, 0, heard_beep=True)
-        assert state.exponents[0] == 2
+        policy.update(state, heard=[0], silent=[])
+        assert state[0] == 0.25
         assert policy.beep_probability(state, 0) == 0.25
 
     def test_silence_decrements(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        state.exponents[0] = 3
-        policy.update_node(state, 0, heard_beep=False)
-        assert state.exponents[0] == 2
+        state[0] = 0.125
+        policy.update(state, heard=[], silent=[0])
+        assert state[0] == 0.25
         assert policy.beep_probability(state, 0) == 0.25
 
     @given(st.lists(st.booleans(), max_size=60))
     def test_exponent_trajectory(self, heard_sequence):
+        # the float rule equals the integer-exponent rule p = 2^-e: e starts
+        # at 1, goes up 1 on a beep, down 1 on silence, but not below 1
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        previous = state.exponents[0]
+        e = 1
         for heard in heard_sequence:
-            policy.update_node(state, 0, heard)
-            current = state.exponents[0]
-            assert current >= 1
-            assert abs(current - previous) <= 1
+            policy.update(state, heard=[0] if heard else [], silent=[] if heard else [0])
+            e = e + 1 if heard else max(e - 1, 1)
             p = policy.beep_probability(state, 0)
+            assert p == state[0] == 2.0 ** -e
             assert 0.0 < p <= 0.5
-            previous = current
+
+    def test_default_floor(self):
+        policy = LocalFeedback()
+        state = policy.initial_state(1)
+        for _ in range(100):
+            policy.update(state, heard=[0], silent=[])
+        assert state[0] == 2.0 ** -64
+        policy.update(state, heard=[], silent=[0])
+        assert state[0] == 2.0 ** -63
+
+    def test_update_touches_only_listed_nodes(self):
+        policy = LocalFeedback()
+        state = policy.initial_state(3)
+        state[2] = 0.125
+        policy.update(state, heard=[0], silent=[2])
+        assert state == [0.25, 0.5, 0.25]
 
     def test_generalized_factor(self):
         policy = LocalFeedback(factor=3.0, initial=0.3, cap=0.4)
         state = policy.initial_state(1)
         assert policy.beep_probability(state, 0) == 0.3
-        policy.update_node(state, 0, heard_beep=True)
+        policy.update(state, heard=[0], silent=[])
         assert policy.beep_probability(state, 0) == pytest.approx(0.1)
-        policy.update_node(state, 0, heard_beep=False)
+        policy.update(state, heard=[], silent=[0])
         assert policy.beep_probability(state, 0) == pytest.approx(0.3)
-        policy.update_node(state, 0, heard_beep=False)
+        policy.update(state, heard=[], silent=[0])
         assert policy.beep_probability(state, 0) == 0.4  # capped
 
     def test_generalized_floor(self):
         policy = LocalFeedback(factor=4.0, initial=0.25, cap=0.5)
         state = policy.initial_state(1)
         for _ in range(100):
-            policy.update_node(state, 0, heard_beep=True)
+            policy.update(state, heard=[0], silent=[])
         assert policy.beep_probability(state, 0) >= 2.0**-64
 
     def test_rejects_bad_config(self):
