@@ -9,7 +9,6 @@ experiment harness with CSV output.
 """
 
 from .engine import (
-    NodeStatus,
     RoundOutcome,
     RunResult,
     SimState,
@@ -63,7 +62,6 @@ __all__ = [
     "Graph",
     "InvalidParameter",
     "LocalFeedback",
-    "NodeStatus",
     "ParseError",
     "RoundOutcome",
     "RunResult",

@@ -7,25 +7,25 @@ neighbour of a joiner becomes inactive (second exchange); each surviving
 active node then receives the policy update for what it heard.  Per-round,
 per-node random draws are consumed in ascending node index over active nodes
 only, which pins within-implementation determinism for a given seed.
+
+Node state is held in numpy arrays over the graph's CSR rows.  A round reads
+only the rows of that round's beepers and joiners; every node joins at most
+once and, under local feedback, beeps O(1) times in expectation, so a run
+reads O(n + m) adjacency in expectation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
+
+import numpy as np
 
 from .errors import InvalidParameter
 from .graph import Graph
 
 _MASK64 = (1 << 64) - 1
-
-
-class NodeStatus(Enum):
-    ACTIVE = "active"
-    IN_MIS = "in_mis"
-    INACTIVE_NEIGHBOUR = "inactive_neighbour"
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,19 @@ class RunResult:
 
 @dataclass
 class SimState:
-    """Mutable state of one run; confined to a single run, never shared."""
+    """Mutable state of one run; confined to a single run, never shared.
+
+    ``active`` lists the active nodes in increasing order; ``alive`` and
+    ``in_mis`` are per-node flags, ``beep_counts`` per-node counters.
+    """
 
     round: int
-    status: list[NodeStatus]
-    beep_counts: list[int]
-    active: list[int]
+    active: np.ndarray
+    alive: np.ndarray
+    in_mis: np.ndarray
+    beep_counts: np.ndarray
     policy: Any
     policy_state: Any
-    masks: list[int]
-    bits: list[int]
 
 
 def default_max_rounds(node_count: int) -> int:
@@ -76,14 +79,24 @@ def new_state(graph: Graph, policy) -> SimState:
     n = graph.node_count
     return SimState(
         round=0,
-        status=[NodeStatus.ACTIVE] * n,
-        beep_counts=[0] * n,
-        active=list(range(n)),
+        active=np.arange(n),
+        alive=np.ones(n, dtype=bool),
+        in_mis=np.zeros(n, dtype=bool),
+        beep_counts=np.zeros(n, dtype=np.int64),
         policy=policy,
         policy_state=policy.initial_state(n),
-        masks=graph.adjacency_masks(),
-        bits=[1 << v for v in range(n)],
     )
+
+
+def _neighbours_of(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """The concatenated CSR rows of ``nodes``, repeats kept."""
+    indptr = graph.indptr
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    ends = np.cumsum(lengths)
+    # Position i of the result lies in row k at offset i - (ends[k] - lengths[k]).
+    offsets = np.repeat(starts - ends + lengths, lengths)
+    return graph.indices[offsets + np.arange(offsets.size)]
 
 
 def step(state: SimState, graph: Graph, rng) -> RoundOutcome:
@@ -91,62 +104,56 @@ def step(state: SimState, graph: Graph, rng) -> RoundOutcome:
 
     ``rng`` needs only a ``random()`` method returning floats in [0, 1).
     """
+    return _outcome(*_round(state, graph, rng))
+
+
+def _round(state: SimState, graph: Graph, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round in place; returns the beepers, the joiners and the joiners'
+    neighbours that were active until this round."""
     policy = state.policy
     pstate = state.policy_state
-    masks = state.masks
-    bits = state.bits
     active = state.active
 
-    beeped: list[int] = []
-    beeped_mask = 0
     p_uniform = policy.uniform_probability(pstate)
-    if p_uniform is None:
-        beep_probability = policy.beep_probability
-        for v in active:
-            if rng.random() < beep_probability(pstate, v):
-                beeped.append(v)
-                beeped_mask |= bits[v]
-    else:
-        for v in active:
-            if rng.random() < p_uniform:
-                beeped.append(v)
-                beeped_mask |= bits[v]
+    p = policy.beep_probability(pstate, active) if p_uniform is None else p_uniform
+    # One rng.random() per active node in ascending node order, the stream a
+    # per-node loop would draw.
+    draws = np.fromiter(iter(rng.random, None), dtype=float, count=active.size)
+    beeped = active[draws < p]
+    state.beep_counts[beeped] += 1
 
-    counts = state.beep_counts
-    for v in beeped:
-        counts[v] += 1
-
+    heard = np.zeros(graph.node_count, dtype=bool)
+    heard[_neighbours_of(graph, beeped)] = True
     # A beeper joins exactly when none of its neighbours beeped this round.
-    joined = [v for v in beeped if not masks[v] & beeped_mask]
+    joined = beeped[~heard[beeped]]
+    state.in_mis[joined] = True
 
-    status = state.status
-    newly_inactive = list(joined)
-    for v in joined:
-        status[v] = NodeStatus.IN_MIS
-    adjacency = graph.adjacency
-    for v in joined:
-        for u in adjacency[v]:
-            if status[u] is NodeStatus.ACTIVE:
-                status[u] = NodeStatus.INACTIVE_NEIGHBOUR
-                newly_inactive.append(u)
-
-    if joined:
-        active = [v for v in active if status[v] is NodeStatus.ACTIVE]
+    alive = state.alive
+    # Joiners are never adjacent, so a joiner is not among these neighbours.
+    dropped = _neighbours_of(graph, joined)
+    dropped = dropped[alive[dropped]]
+    alive[joined] = False
+    alive[dropped] = False
+    if joined.size:
+        active = active[alive[active]]
         state.active = active
 
     # Survivors only: nodes deactivated this round receive no policy update.
     if p_uniform is None:
-        heard = [v for v in active if masks[v] & beeped_mask]
-        silent = [v for v in active if not masks[v] & beeped_mask]
-        policy.update(pstate, heard, silent)
+        heard_active = heard[active]
+        policy.update(pstate, active[heard_active], active[~heard_active])
     else:
         policy.end_round(pstate)
     state.round += 1
+    return beeped, joined, dropped
 
+
+def _outcome(beeped: np.ndarray, joined: np.ndarray, dropped: np.ndarray) -> RoundOutcome:
+    joined_list = joined.tolist()
     return RoundOutcome(
-        beeped=frozenset(beeped),
-        joined_mis=frozenset(joined),
-        newly_inactive=frozenset(newly_inactive),
+        beeped=frozenset(beeped.tolist()),
+        joined_mis=frozenset(joined_list),
+        newly_inactive=frozenset(joined_list + dropped.tolist()),
     )
 
 
@@ -164,17 +171,17 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
     state = new_state(graph, policy)
     rng = random.Random(int(seed) & _MASK64)
     trace: list[RoundOutcome] | None = [] if keep_trace else None
-    while state.active and state.round < max_rounds:
-        outcome = step(state, graph, rng)
+    while state.active.size and state.round < max_rounds:
+        arrays = _round(state, graph, rng)
         if trace is not None:
-            trace.append(outcome)
-    mis = frozenset(v for v, s in enumerate(state.status) if s is NodeStatus.IN_MIS)
+            trace.append(_outcome(*arrays))
+    beep_counts = state.beep_counts.tolist()
     return RunResult(
-        mis=mis,
+        mis=frozenset(np.flatnonzero(state.in_mis).tolist()),
         rounds=state.round,
-        beep_counts=tuple(state.beep_counts),
-        total_beeps=sum(state.beep_counts),
-        terminated=not state.active,
+        beep_counts=tuple(beep_counts),
+        total_beeps=sum(beep_counts),
+        terminated=not state.active.size,
         trace=tuple(trace) if trace is not None else None,
     )
 
@@ -185,13 +192,7 @@ def neighbourhood_weight(state: SimState, graph: Graph, v: int) -> float:
     Inactive neighbours contribute 0.  Diagnostic only; the protocol itself
     never reads this quantity.
     """
-    if not 0 <= v < graph.node_count:
-        raise InvalidParameter(f"node {v} out of range for {graph.node_count} nodes")
-    policy = state.policy
-    pstate = state.policy_state
-    status = state.status
-    total = 0.0
-    for u in graph.adjacency[v]:
-        if status[u] is NodeStatus.ACTIVE:
-            total += policy.beep_probability(pstate, u)
-    return total
+    nbrs = np.array(graph.neighbours(v), dtype=np.int64)
+    nbrs = nbrs[state.alive[nbrs]]
+    p = state.policy.beep_probability(state.policy_state, nbrs)
+    return sum(np.broadcast_to(p, nbrs.shape).tolist(), 0.0)

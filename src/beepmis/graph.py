@@ -1,13 +1,15 @@
 """Immutable undirected simple graphs, deterministic generators, edge-list text I/O.
 
 Nodes are dense indices 0..n-1 with no labels; the protocols simulated on top
-of these graphs are anonymous, so nothing else is needed.  The edge-list text
-format (see :func:`parse_edge_list`) is the single interchange format.
+of these graphs are anonymous, so nothing else is needed.  A graph is held in
+compressed sparse row (CSR) form only: the neighbours of v are
+``indices[indptr[v]:indptr[v + 1]]``, so memory is linear in n + m.  The
+edge-list text format (see :func:`parse_edge_list`) is the single
+interchange format.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -18,125 +20,138 @@ _MASK64 = (1 << 64) - 1
 
 
 class Graph:
-    """Undirected simple graph with adjacency stored as sorted tuples.
+    """Undirected simple graph stored as two read-only CSR integer arrays.
 
-    Instances are immutable after construction and therefore safe to share
-    across concurrently executing simulation runs.  Invariants: adjacency is
-    symmetric, has no self-loops, and each neighbour list is strictly
-    increasing.
+    Invariants (checked by :func:`validate_graph`): ``indptr`` starts at 0,
+    never decreases and ends at ``len(indices)``; every row of ``indices`` is
+    strictly increasing, in range and free of self-loops; and the adjacency
+    is symmetric.  Instances are immutable and therefore safe to share across
+    concurrently executing simulation runs.
     """
 
-    __slots__ = ("_n", "_adjacency", "_edge_count", "_masks")
+    __slots__ = ("_indptr", "_indices")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(node_count, int) or isinstance(node_count, bool) or node_count < 0:
             raise InvalidParameter(f"node_count must be a nonnegative integer, got {node_count!r}")
-        neighbour_sets: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InvalidParameter(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            if u == v:
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            u, v = pairs[np.argmax(bad)].tolist()
+            if u == v and 0 <= u < node_count:
                 raise InvalidParameter(f"self-loop ({u}, {v}) not allowed")
-            neighbour_sets[u].add(v)
-            neighbour_sets[v].add(u)
-        self._n = node_count
-        self._adjacency = tuple(tuple(sorted(s)) for s in neighbour_sets)
-        self._edge_count = sum(len(s) for s in neighbour_sets) // 2
-        self._masks: list[int] | None = None
+            raise InvalidParameter(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        # Both orientations of every edge, sorted by (row, column), duplicates dropped.
+        keys = np.unique(np.concatenate([pairs[:, 0] * node_count + pairs[:, 1],
+                                         pairs[:, 1] * node_count + pairs[:, 0]]))
+        rows, indices = np.divmod(keys, max(node_count, 1))
+        indptr = np.searchsorted(rows, np.arange(node_count + 1))
+        self._indptr, self._indices = _frozen(indptr), _frozen(indices)
 
     @classmethod
-    def _from_sorted_adjacency(cls, node_count: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
-        """Trusted fast path for generators that build valid adjacency directly."""
+    def from_csr(cls, indptr, indices) -> "Graph":
+        """Wrap CSR arrays as a Graph without checking them.
+
+        The fast path for generators that build valid arrays directly;
+        :func:`validate_graph` checks the invariants of the result.
+        """
         g = object.__new__(cls)
-        g._n = node_count
-        g._adjacency = adjacency
-        g._edge_count = sum(len(row) for row in adjacency) // 2
-        g._masks = None
+        g._indptr, g._indices = _frozen(indptr), _frozen(indices)
         return g
 
     @property
     def node_count(self) -> int:
-        return self._n
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adjacency
+        return len(self._indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._indices) // 2
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._indices
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self._n:
-            raise InvalidParameter(f"node {v} out of range for {self._n} nodes")
-        return self._adjacency[v]
+        """The neighbours of v in increasing order, as Python ints."""
+        indptr = self._indptr
+        if not 0 <= v < len(indptr) - 1:
+            raise InvalidParameter(f"node {v} out of range for {self.node_count} nodes")
+        return tuple(self._indices[indptr[v]:indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
         return len(self.neighbours(v))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self._n) for v in self._adjacency[u] if u < v]
+        rows = np.repeat(np.arange(self.node_count), np.diff(self._indptr))
+        upper = rows < self._indices
+        return list(zip(rows[upper].tolist(), self._indices[upper].tolist()))
 
     def adjacency_masks(self) -> list[int]:
-        """Per-node neighbour sets as little-endian bitmask integers (cached)."""
-        if self._masks is None:
-            n = self._n
-            if n == 0:
-                self._masks = []
-            else:
-                degrees = np.fromiter((len(row) for row in self._adjacency), dtype=np.int64, count=n)
-                total = int(degrees.sum())
-                dense = np.zeros((n, n), dtype=bool)
-                if total:
-                    srcs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-                    dsts = np.fromiter(chain.from_iterable(self._adjacency), dtype=np.int64, count=total)
-                    dense[srcs, dsts] = True
-                packed = np.packbits(dense, axis=1, bitorder="little")
-                self._masks = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-        return self._masks
+        """Per-node neighbour sets as little-endian bitmask integers.
+
+        Quadratic in n; meant for exhaustive work on tiny graphs only.
+        """
+        return [sum(1 << u for u in self.neighbours(v)) for v in range(self.node_count)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._adjacency == other._adjacency
+        return (np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     def __repr__(self) -> str:
-        return f"Graph(node_count={self._n}, edge_count={self._edge_count})"
+        return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
-    def __getstate__(self):
-        return (self._n, self._adjacency)
 
-    def __setstate__(self, state):
-        self._n, self._adjacency = state
-        self._edge_count = sum(len(row) for row in self._adjacency) // 2
-        self._masks = None
+def _frozen(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
 
 
 def validate_graph(g: Graph) -> None:
     """Raise InvalidParameter unless g satisfies all structural invariants."""
-    adjacency = g.adjacency
-    if len(adjacency) != g.node_count:
-        raise InvalidParameter("adjacency length does not match node_count")
-    for v, row in enumerate(adjacency):
-        for i, u in enumerate(row):
-            if not 0 <= u < g.node_count:
-                raise InvalidParameter(f"neighbour {u} of node {v} out of range")
-            if u == v:
-                raise InvalidParameter(f"self-loop at node {v}")
-            if i > 0 and row[i - 1] >= u:
-                raise InvalidParameter(f"adjacency of node {v} not strictly increasing")
-            if v not in adjacency[u]:
-                raise InvalidParameter(f"edge ({v}, {u}) not symmetric")
+    indptr, indices = g.indptr, g.indices
+    n = g.node_count
+    if n < 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+        raise InvalidParameter("indptr must start at 0, never decrease and end at len(indices)")
+    if ((indices < 0) | (indices >= n)).any():
+        raise InvalidParameter("neighbour index out of range")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    if (rows == indices).any():
+        raise InvalidParameter(f"self-loop at node {int(rows[np.argmax(rows == indices)])}")
+    same_row = rows[1:] == rows[:-1]
+    if (same_row & (indices[1:] <= indices[:-1])).any():
+        raise InvalidParameter("a neighbour row is not strictly increasing")
+    # Rows are sorted, so the (row, column) keys are too; symmetry means the
+    # (column, row) keys are the same set.
+    if not np.array_equal(np.sort(indices * n + rows), rows * n + indices):
+        raise InvalidParameter("adjacency is not symmetric")
+
+
+def _cliques(sizes) -> Graph:
+    """Disjoint union of complete graphs with the given sizes, laid out in order."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # first node of each node's block
+    local = np.arange(len(start)) - start
+    degree = np.repeat(sizes, sizes) - 1
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    # Entry j of a row, j = 0..d-2, is the block's j-th node, skipping the row's own node.
+    j = np.arange(indptr[-1]) - np.repeat(indptr[:-1], degree)
+    indices = np.repeat(start, degree) + j + (j >= np.repeat(local, degree))
+    return Graph.from_csr(indptr, indices)
 
 
 def complete_graph(d: int) -> Graph:
     """Complete graph on d nodes (every pair adjacent)."""
     if not isinstance(d, int) or d < 1:
         raise InvalidParameter(f"complete_graph requires d >= 1, got {d!r}")
-    everyone = tuple(range(d))
-    adjacency = tuple(everyone[:v] + everyone[v + 1:] for v in range(d))
-    return Graph._from_sorted_adjacency(d, adjacency)
+    return _cliques([d])
 
 
 def clique_family(m: int) -> Graph:
@@ -147,15 +162,7 @@ def clique_family(m: int) -> Graph:
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"clique_family requires m >= 1, got {m!r}")
-    adjacency: list[tuple[int, ...]] = []
-    offset = 0
-    for d in range(1, m + 1):
-        for _ in range(m):
-            block = tuple(range(offset, offset + d))
-            for v in block:
-                adjacency.append(tuple(u for u in block if u != v))
-            offset += d
-    return Graph._from_sorted_adjacency(offset, tuple(adjacency))
+    return _cliques(np.repeat(np.arange(1, m + 1), m))
 
 
 def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
@@ -172,40 +179,26 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
         raise InvalidParameter(f"p_edge must be in [0, 1], got {p_edge!r}")
     rng = np.random.default_rng(int(seed) & _MASK64)
     draws = rng.random(n * (n - 1) // 2)
-    us, vs = np.triu_indices(n, k=1)
-    keep = draws < p_edge
-    us, vs = us[keep], vs[keep]
-    if us.size == 0:
-        return Graph._from_sorted_adjacency(n, tuple(() for _ in range(n)))
-    srcs = np.concatenate([us, vs])
-    dsts = np.concatenate([vs, us])
-    order = np.lexsort((dsts, srcs))
-    srcs, dsts = srcs[order], dsts[order]
-    flat = dsts.tolist()
-    bounds = np.searchsorted(srcs, np.arange(n + 1)).tolist()
-    adjacency = tuple(tuple(flat[bounds[v]:bounds[v + 1]]) for v in range(n))
-    return Graph._from_sorted_adjacency(n, adjacency)
+    # The dense upper triangle, filled row by row in draw order, then
+    # mirrored; its nonzero positions in row-major order are CSR order.
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[np.triu(np.ones((n, n), dtype=bool), k=1)] = draws < p_edge
+    adjacent |= adjacent.T
+    flat = np.flatnonzero(adjacent)
+    return Graph.from_csr(np.searchsorted(flat, np.arange(n + 1) * n), flat % n)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Rectangular grid: node (r, c) at index r*cols + c, 4-neighbour adjacency."""
     if not isinstance(rows, int) or rows < 1 or not isinstance(cols, int) or cols < 1:
         raise InvalidParameter(f"grid_graph requires rows, cols >= 1, got {rows!r}, {cols!r}")
-    adjacency = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            nbrs = []
-            if r > 0:
-                nbrs.append(v - cols)
-            if c > 0:
-                nbrs.append(v - 1)
-            if c < cols - 1:
-                nbrs.append(v + 1)
-            if r < rows - 1:
-                nbrs.append(v + cols)
-            adjacency.append(tuple(nbrs))
-    return Graph._from_sorted_adjacency(rows * cols, tuple(adjacency))
+    v = np.arange(rows * cols)
+    r, c = np.divmod(v, cols)
+    # Up, left, right, down: increasing node order within each row.
+    candidates = np.stack([v - cols, v - 1, v + 1, v + cols], axis=1)
+    present = np.stack([r > 0, c > 0, c < cols - 1, r < rows - 1], axis=1)
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    return Graph.from_csr(indptr, candidates[present])
 
 
 def path_graph(n: int) -> Graph:

@@ -4,15 +4,18 @@ A policy owns all per-run probability state, made by ``initial_state``.  Each
 round the engine first calls ``uniform_probability(state)``.  A
 node-independent policy returns the probability every active node beeps with
 this round, and afterwards receives ``end_round(state)``.  A per-node policy
-returns None; the engine then asks ``beep_probability(state, node)`` for each
-active node, and afterwards calls ``update(state, heard, silent)`` with the
-surviving nodes that heard at least one beep and those that heard silence.
+returns None; the engine then asks ``beep_probability(state, nodes)`` once
+for the array of active nodes, and afterwards calls
+``update(state, heard, silent)`` with the index arrays of the surviving
+nodes that heard at least one beep and of those that heard silence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, ldexp
+
+import numpy as np
 
 from .errors import InvalidParameter
 
@@ -24,12 +27,12 @@ _MIN_PROBABILITY = 2.0 ** -64
 class LocalFeedback:
     """Each node adapts its own beep probability from what it heard.
 
-    The state is one float probability per node.  A node that heard at least
-    one beep in a round divides its probability by the adjustment factor,
-    floored at 2^-64; a node that heard silence multiplies it by the same
-    factor, clamped at the cap.  With the defaults (factor 2, start 1/2, cap
-    1/2) every probability is exactly 2^-e for an integer e >= 1, because
-    halving and doubling a float above the floor is exact.
+    The state is one float64 array of per-node probabilities.  A node that
+    heard at least one beep in a round divides its probability by the
+    adjustment factor, floored at 2^-64; a node that heard silence multiplies
+    it by the same factor, clamped at the cap.  With the defaults (factor 2,
+    start 1/2, cap 1/2) every probability is exactly 2^-e for an integer
+    e >= 1, because halving and doubling a float above the floor is exact.
     """
 
     def __init__(self, factor: float = 2.0, initial: float = 0.5, cap: float = 0.5):
@@ -49,24 +52,20 @@ class LocalFeedback:
             return "feedback"
         return f"feedback:f={self.factor:g},init={self.initial:g},cap={self.cap:g}"
 
-    def initial_state(self, node_count: int) -> list[float]:
-        return [self.initial] * node_count
+    def initial_state(self, node_count: int) -> np.ndarray:
+        return np.full(node_count, self.initial)
 
-    def uniform_probability(self, state: list[float]) -> None:
+    def uniform_probability(self, state: np.ndarray) -> None:
         return None
 
-    def beep_probability(self, state: list[float], node: int) -> float:
-        return state[node]
+    def beep_probability(self, state: np.ndarray, nodes):
+        """Probability of one node, or the array of probabilities of an index array."""
+        return state[nodes]
 
-    def update(self, state: list[float], heard: list[int], silent: list[int]) -> None:
+    def update(self, state: np.ndarray, heard, silent) -> None:
         """Apply the feedback rule to the still-active nodes after a round."""
-        factor, cap, floor = self.factor, self.cap, _MIN_PROBABILITY
-        for v in heard:
-            p = state[v] / factor
-            state[v] = p if p > floor else floor
-        for v in silent:
-            p = state[v] * factor
-            state[v] = p if p < cap else cap
+        state[heard] = np.maximum(state[heard] / self.factor, _MIN_PROBABILITY)
+        state[silent] = np.minimum(state[silent] * self.factor, self.cap)
 
 
 def sweep_phase_position(step: int) -> tuple[int, int]:
@@ -104,7 +103,7 @@ class Schedule:
     def uniform_probability(self, state: ScheduleState) -> float:
         return self.at(state.step)
 
-    def beep_probability(self, state: ScheduleState, node: int) -> float:
+    def beep_probability(self, state: ScheduleState, nodes) -> float:
         return self.at(state.step)
 
     def end_round(self, state: ScheduleState) -> None:

@@ -43,7 +43,7 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
         members.add(v)
     witness_edge = None
     for v in sorted(members):
-        for u in graph.adjacency[v]:
+        for u in graph.neighbours(v):
             if u > v and u in members:
                 witness_edge = (v, u)
                 break
@@ -53,7 +53,7 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
     for v in range(graph.node_count):
         if v in members:
             continue
-        if not any(u in members for u in graph.adjacency[v]):
+        if not any(u in members for u in graph.neighbours(v)):
             witness_vertex = v
             break
     return VerifyReport(

@@ -1,10 +1,17 @@
 """Shared test helpers: stub RNG, graph strategies, trace replay checker."""
 
+from enum import Enum
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from beepmis import Graph, NodeStatus, check_mis
+from beepmis import Graph, check_mis
+
+
+class NodeStatus(Enum):
+    ACTIVE = "active"
+    IN_MIS = "in_mis"
+    INACTIVE_NEIGHBOUR = "inactive_neighbour"
 
 
 class StubRNG:
@@ -43,15 +50,15 @@ def replay_check(graph, result):
         # inactive nodes never beep
         assert all(status[v] is NodeStatus.ACTIVE for v in beeped)
         # join rule: beeped and heard nothing
-        joined = {v for v in beeped if not any(u in beeped for u in graph.adjacency[v])}
+        joined = {v for v in beeped if not any(u in beeped for u in graph.neighbours(v))}
         assert joined == set(outcome.joined_mis)
         assert joined <= beeped
         # impossibility: a beeper that heard a beep has no joining neighbour
         for v in beeped - joined:
-            assert not any(u in joined for u in graph.adjacency[v])
+            assert not any(u in joined for u in graph.neighbours(v))
         expected_inactive = set(joined)
         for j in joined:
-            for u in graph.adjacency[j]:
+            for u in graph.neighbours(j):
                 if status[u] is NodeStatus.ACTIVE and u not in joined:
                     expected_inactive.add(u)
         assert expected_inactive == set(outcome.newly_inactive)

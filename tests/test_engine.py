@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -9,18 +10,22 @@ from beepmis import (
     GlobalSweep,
     InvalidParameter,
     LocalFeedback,
-    NodeStatus,
+    check_mis,
+    clique_family,
     complete_graph,
     default_max_rounds,
     enumerate_mis,
+    grid_graph,
     neighbourhood_weight,
     new_state,
+    parse_policy,
     path_graph,
     run,
     step,
 )
 
 from conftest import BEEP, SILENT, StubRNG, replay_check, small_graphs
+from reference_engine import reference_run
 
 
 class TestStep:
@@ -40,8 +45,8 @@ class TestStep:
         assert outcome.joined_mis == frozenset()
         assert outcome.newly_inactive == frozenset()
         # both heard a beep: probabilities halve
-        assert state.policy_state == [0.25, 0.25]
-        assert state.beep_counts == [1, 1]
+        assert state.policy_state.tolist() == [0.25, 0.25]
+        assert state.beep_counts.tolist() == [1, 1]
 
     def test_k2_one_beeps(self):
         g = complete_graph(2)
@@ -49,11 +54,13 @@ class TestStep:
         outcome = step(state, g, StubRNG([BEEP, SILENT]))
         assert outcome.joined_mis == {0}
         assert outcome.newly_inactive == {0, 1}
-        assert state.status == [NodeStatus.IN_MIS, NodeStatus.INACTIVE_NEIGHBOUR]
-        assert not state.active
+        # node 0 joined, node 1 became an inactive neighbour
+        assert state.in_mis.tolist() == [True, False]
+        assert state.alive.tolist() == [False, False]
+        assert state.active.size == 0
         # nodes deactivated this round receive no policy update: node 1 heard
         # a beep, but its probability stays at 1/2
-        assert state.policy_state == [0.5, 0.5]
+        assert state.policy_state.tolist() == [0.5, 0.5]
 
     def test_k2_round1_enumeration(self):
         # all four beep patterns at p = (1/2, 1/2); join happens iff exactly
@@ -79,15 +86,15 @@ class TestStep:
         outcome = step(state, g, StubRNG([BEEP, SILENT, BEEP]))
         assert outcome.joined_mis == {0, 2}
         assert outcome.newly_inactive == {0, 1, 2}
-        assert state.status[1] is NodeStatus.INACTIVE_NEIGHBOUR
+        assert not state.alive[1] and not state.in_mis[1]  # an inactive neighbour
 
     def test_silent_round_doubles_probability(self):
         g = complete_graph(2)
         policy = LocalFeedback()
         state = new_state(g, policy)
-        state.policy_state = [0.125, 0.125]
+        state.policy_state[:] = 0.125
         step(state, g, StubRNG([SILENT, SILENT]))
-        assert state.policy_state == [0.25, 0.25]
+        assert state.policy_state.tolist() == [0.25, 0.25]
 
 
 class TestRun:
@@ -106,6 +113,12 @@ class TestRun:
         a = run(g, LocalFeedback(), seed=99, keep_trace=True)
         b = run(g, LocalFeedback(), seed=99, keep_trace=True)
         assert a == b
+
+    def test_result_holds_python_ints(self):
+        result = run(path_graph(6), LocalFeedback(), seed=3, keep_trace=True)
+        outcome_sets = [s for o in result.trace for s in (o.beeped, o.joined_mis, o.newly_inactive)]
+        values = [*result.mis, *result.beep_counts, result.total_beeps, *(v for s in outcome_sets for v in s)]
+        assert values and all(type(v) is int for v in values)
 
     def test_trace_off_by_default(self):
         assert run(complete_graph(3), GlobalSweep(), seed=0).trace is None
@@ -150,6 +163,29 @@ class TestRun:
         replay_check(g, result)
 
 
+class TestReferenceEngine:
+    POLICIES = ["feedback", "feedback:f=1.7,init=0.45,cap=0.5", "sweep", "const:0.4"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_graphs(max_nodes=12),
+        st.sampled_from(POLICIES),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.sampled_from([None, 1, 3]),
+    )
+    def test_run_equals_reference(self, g, policy_text, seed, max_rounds):
+        policy = parse_policy(policy_text)
+        result = run(g, policy, seed, max_rounds, keep_trace=True)
+        assert result == reference_run(g, policy, seed, max_rounds)
+
+    @pytest.mark.parametrize("policy_text", POLICIES)
+    def test_clique_family_equals_reference(self, policy_text):
+        g = clique_family(5)
+        policy = parse_policy(policy_text)
+        for seed in range(5):
+            assert run(g, policy, seed, keep_trace=True) == reference_run(g, policy, seed)
+
+
 class TestNeighbourhoodWeight:
     def test_isolated(self):
         g = Graph(1)
@@ -181,3 +217,30 @@ class TestNeighbourhoodWeight:
         state = new_state(g, LocalFeedback())
         with pytest.raises(InvalidParameter):
             neighbourhood_weight(state, g, 2)
+
+
+def traced_peak_mib(build_and_run):
+    """Peak traced allocation of one call, graph build included, in MiB."""
+    tracemalloc.start()
+    try:
+        build_and_run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestLinearMemory:
+    def test_grid_128_peak(self):
+        # 16,384 nodes of degree <= 4; an n x n neighbour index would need
+        # hundreds of MiB here
+        peak = traced_peak_mib(lambda: run(grid_graph(128, 128), LocalFeedback(), 0))
+        assert peak < 32
+
+    def test_path_200k_terminates(self):
+        # refuse the big run unless a small one is clearly linear: a quadratic
+        # index at 200,000 nodes would need about 40 GB
+        assert traced_peak_mib(lambda: run(path_graph(4096), LocalFeedback(), 0)) < 4
+        g = path_graph(200_000)
+        result = run(g, LocalFeedback(), seed=0)
+        assert result.terminated
+        assert check_mis(g, result.mis).ok

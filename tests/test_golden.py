@@ -5,13 +5,15 @@ which writes none) and of its stdout.  The command runs with the temporary
 directory as its working directory and a relative ``--output``, so stdout
 holds no varying path.  A change to any digest means the random stream, the
 row order or the text format changed; that is a separate, declared decision,
-not a side effect of a refactor.
+not a side effect of a refactor.  ``GRAPHS`` pins the graph streams the
+same way: the sha256 of each generator's edge-list text.
 """
 
 import hashlib
 
 import pytest
 
+from beepmis import clique_family, complete_graph, erdos_renyi, grid_graph, path_graph, write_edge_list
 from beepmis.cli import main
 
 CASES = {
@@ -61,6 +63,12 @@ CASES = {
         None,
         "de4fa848fe72bbfc540785bcae6adbdd28f95c9e03a72a39e9a06a85570e1357",
     ),
+    # a numpy integer leaking into the result would print as np.int64(...)
+    "run-grid-show-mis-trace": (
+        ["run", "--graph", "grid:8,8", "--policy", "feedback", "--show-mis", "--trace", "--seed", "20"],
+        None,
+        "3890144268c81515f4f8b26cfad4f5b1a4eb1271ee5508acfca7001d34074c1e",
+    ),
     "run-er-show-mis": (
         ["run", "--graph", "er:20,0.3", "--policy", "sweep", "--show-mis", "--seed", "19"],
         None,
@@ -83,3 +91,32 @@ def test_golden_bytes(name, tmp_path, monkeypatch, capsys):
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
     if csv_digest is not None:
         assert sha256((tmp_path / "out.csv").read_bytes()) == csv_digest
+
+
+GRAPHS = {
+    # name: (graph constructor, sha256 of write_edge_list of the graph)
+    "er-1-0.5-0": (lambda: erdos_renyi(1, 0.5, 0),
+                   "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    "er-2-0.0-3": (lambda: erdos_renyi(2, 0.0, 3),
+                   "4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51"),
+    "er-50-1.0-3": (lambda: erdos_renyi(50, 1.0, 3),
+                    "c57974c06fface1a7406774765100b71b81eaaa0f056b375ffc99ddeb3ef1868"),
+    "er-64-0.1-7": (lambda: erdos_renyi(64, 0.1, 7),
+                    "6cee064ebf536d9bb3795603873e93c4c7407ff7e9c72abf2bbe20e8516cbb35"),
+    "er-300-0.5-11": (lambda: erdos_renyi(300, 0.5, 11),
+                      "387533ebf410b57d9272eb860dcb84d41941d83eda14050d42addd9f4ab9f1bb"),
+    "grid-7-9": (lambda: grid_graph(7, 9),
+                 "4874af076d17ea87e385b7092ff43dee50500499ecddd29e42e9d1050da63d49"),
+    "cliquefam-5": (lambda: clique_family(5),
+                    "f375d3d0574965d7a2cf266283803fc28d093c1c3a6c4f7c59fa481148b9d35f"),
+    "complete-6": (lambda: complete_graph(6),
+                   "3855aca69894c94c7c28e83bbef2440f4b3b44f44fe8567de447989fceb3317e"),
+    "path-10": (lambda: path_graph(10),
+                "e2b30228e212fa45e8a5c33912630603b2212e2857e426b6e6a03313ff707a81"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_golden_graph(name):
+    build, digest = GRAPHS[name]
+    assert sha256(write_edge_list(build()).encode()) == digest

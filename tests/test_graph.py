@@ -32,7 +32,7 @@ def count_components(g):
         seen[start] = True
         while stack:
             v = stack.pop()
-            for u in g.adjacency[v]:
+            for u in g.neighbours(v):
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
@@ -157,8 +157,9 @@ class TestGridGraph:
     def test_path(self):
         g = path_graph(5)
         assert g.edge_count == 4
-        assert g.adjacency[0] == (1,)
-        assert g.adjacency[2] == (1, 3)
+        assert g.neighbours(0) == (1,)
+        assert g.neighbours(2) == (1, 3)
+        assert all(type(u) is int for u in g.neighbours(2))
 
 
 class TestGraphConstruction:
@@ -178,7 +179,59 @@ class TestGraphConstruction:
         g = Graph(5, [(0, 1), (0, 4), (2, 3)])
         masks = g.adjacency_masks()
         for v in range(5):
-            assert masks[v] == sum(1 << u for u in g.adjacency[v])
+            assert masks[v] == sum(1 << u for u in g.neighbours(v))
+
+
+class TestValidateGraph:
+    # Each case breaks exactly one CSR invariant of the path 0 - 1 - 2,
+    # whose arrays are indptr [0, 1, 3, 4] and indices [1, 0, 2, 1].
+    def test_accepts_path(self):
+        g = Graph.from_csr([0, 1, 3, 4], [1, 0, 2, 1])
+        validate_graph(g)
+        assert g == path_graph(3)
+
+    def test_rejects_indptr_not_starting_at_zero(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([1, 1, 3, 4], [1, 0, 2, 1]))
+
+    def test_rejects_decreasing_indptr(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 3, 1, 4], [1, 0, 2, 1]))
+
+    def test_rejects_indptr_not_ending_at_len_indices(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 3, 3], [1, 0, 2, 1]))
+
+    def test_rejects_out_of_range_index(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 3, 4], [1, 0, 3, 1]))
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 3, 4], [1, -1, 2, 1]))
+
+    def test_rejects_self_loop(self):
+        # node 1 lists itself; the rows stay increasing and the graph symmetric
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 4, 5], [1, 0, 1, 2, 1]))
+
+    def test_rejects_unsorted_row(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 3, 4], [1, 2, 0, 1]))
+
+    def test_rejects_repeated_neighbour(self):
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 3, 4], [1, 0, 0, 1]))
+
+    def test_rejects_asymmetric(self):
+        # 0 lists 1, but 1 does not list 0
+        with pytest.raises(InvalidParameter):
+            validate_graph(Graph.from_csr([0, 1, 2, 3], [1, 2, 1]))
+
+    def test_arrays_are_read_only(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            g.indices[0] = 2
+        with pytest.raises(ValueError):
+            g.indptr[0] = 1
 
 
 class TestEdgeListFormat:

@@ -96,7 +96,7 @@ class TestLocalFeedback:
         policy = LocalFeedback()
         state = policy.initial_state(5)
         assert all(policy.beep_probability(state, v) == 0.5 for v in range(5))
-        assert state == [0.5] * 5
+        assert state.tolist() == [0.5] * 5
 
     def test_floor_at_one(self):
         policy = LocalFeedback()
@@ -147,7 +147,7 @@ class TestLocalFeedback:
         state = policy.initial_state(3)
         state[2] = 0.125
         policy.update(state, heard=[0], silent=[2])
-        assert state == [0.25, 0.5, 0.25]
+        assert state.tolist() == [0.25, 0.5, 0.25]
 
     def test_generalized_factor(self):
         policy = LocalFeedback(factor=3.0, initial=0.3, cap=0.4)
