@@ -7,18 +7,28 @@ neighbour of a joiner becomes inactive (second exchange); each surviving
 active node then receives the policy update for what it heard.  Per-round,
 per-node random draws are consumed in ascending node index over active nodes
 only, which pins within-implementation determinism for a given seed.
+:func:`run` draws a round's doubles in one batch from the very stream of
+``random.Random(seed)`` (see :func:`_batched_draws`); :func:`step` accepts
+any object with a ``random()`` method.
 
-Node state is held in numpy arrays over the graph's CSR rows.  A round reads
-only the rows of that round's beepers and joiners; every node joins at most
-once and, under local feedback, beeps O(1) times in expectation, so a run
-reads O(n + m) adjacency in expectation.
+Node state is held in numpy arrays over the graph's CSR rows.  The heard
+test needs an answer for the beepers under a schedule (the join test) and
+for every active node under a per-node policy (the feedback update).  It
+either marks the beepers' whole rows (top-down) or lets each node that needs
+an answer read a window at the start of its own row, and the rest of the row
+only when the window held no beeper (bottom-up), whichever reads fewer
+entries; see :func:`_heard`.  The only other rows a round reads are its
+joiners'.  Every node joins at most once and, under local feedback, beeps
+O(1) times in expectation, so a feedback run reads O(n + m) adjacency in
+expectation.  A schedule's rounds with many beepers read mostly windows: a
+sweep run on G(512, 1/2) reads about as many entries as the graph holds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -88,60 +98,142 @@ def new_state(graph: Graph, policy) -> SimState:
     )
 
 
-def _neighbours_of(graph: Graph, nodes: np.ndarray) -> np.ndarray:
-    """The concatenated CSR rows of ``nodes``, repeats kept."""
-    indptr = graph.indptr
-    starts = indptr[nodes]
-    lengths = indptr[nodes + 1] - starts
-    ends = np.cumsum(lengths)
-    # Position i of the result lies in row k at offset i - (ends[k] - lengths[k]).
+def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``indices[starts[k]:starts[k] + lengths[k]]`` for every k, concatenated.
+
+    Every adjacency read of a round goes through here.
+    """
+    ends = lengths.cumsum()
+    # Position i of the result lies in slice k at offset i - (ends[k] - lengths[k]).
     offsets = np.repeat(starts - ends + lengths, lengths)
     return graph.indices[offsets + np.arange(offsets.size)]
+
+
+def _heard(graph: Graph, beeped: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Flags, aligned with ``queries``, of the query nodes with a beeping neighbour.
+
+    Top-down marks the beepers' rows, sum(deg(beeped)) entries.  Bottom-up
+    lets each query scan its own row: first a window long enough to hold
+    about four beepers if they were spread evenly over the nodes, then the
+    rest of the rows whose window held none.  Bottom-up is taken when its
+    windows, at most ``queries.size * window`` entries, read fewer entries
+    than top-down; both give the same flags.
+    """
+    indptr = graph.indptr
+    beeper_starts = indptr[beeped]
+    beeper_degrees = indptr[beeped + 1] - beeper_starts
+    window = -(-4 * graph.node_count // max(beeped.size, 1))
+    if queries.size * window < beeper_degrees.sum():
+        return _heard_bottom_up(graph, beeped, queries, window)
+    return _heard_top_down(graph, beeper_starts, beeper_degrees, queries)
+
+
+def _heard_top_down(graph: Graph, beeper_starts: np.ndarray, beeper_degrees: np.ndarray,
+                    queries: np.ndarray) -> np.ndarray:
+    marked = np.zeros(graph.node_count, dtype=bool)
+    marked[_row_entries(graph, beeper_starts, beeper_degrees)] = True
+    return marked[queries]
+
+
+def _heard_bottom_up(graph: Graph, beeped: np.ndarray, queries: np.ndarray,
+                     window: int) -> np.ndarray:
+    is_beeper = np.zeros(graph.node_count, dtype=bool)
+    is_beeper[beeped] = True
+    starts = graph.indptr[queries]
+    degrees = graph.indptr[queries + 1] - starts
+    first = np.minimum(degrees, window)
+    heard = _any_marked(graph, is_beeper, starts, first)
+    rest = np.flatnonzero(~heard & (degrees > window))
+    if rest.size:
+        heard[rest] = _any_marked(graph, is_beeper, starts[rest] + window,
+                                  degrees[rest] - window)
+    return heard
+
+
+def _any_marked(graph: Graph, marked: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray) -> np.ndarray:
+    """Whether each slice ``indices[start:start + length]`` holds a marked node."""
+    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+    lengths.cumsum(out=bounds[1:])
+    # Marked entries before each position of the concatenated slices.
+    before = np.zeros(bounds[-1] + 1, dtype=np.int64)
+    marked[_row_entries(graph, starts, lengths)].cumsum(out=before[1:])
+    return before[bounds[1:]] > before[bounds[:-1]]
+
+
+def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
+    """k -> the next k doubles of ``random.Random(seed & MASK64).random()``.
+
+    CPython and numpy share the MT19937 generator and the 53-bit
+    ``genrand_res53`` conversion, so numpy, started from the state CPython's
+    seeding leaves, yields the same doubles in one batch per call.  The
+    generator is built from a fixed seed and then overwritten, which keeps
+    OS entropy out of the path.
+    """
+    internal = random.Random(int(seed) & _MASK64).getstate()[1]
+    bit_generator = np.random.MT19937(0)
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    return np.random.Generator(bit_generator).random
 
 
 def step(state: SimState, graph: Graph, rng) -> RoundOutcome:
     """Execute one round in place and report its outcome.
 
-    ``rng`` needs only a ``random()`` method returning floats in [0, 1).
+    ``rng`` needs only a ``random()`` method returning floats in [0, 1); it
+    is called once per active node.
     """
-    return _outcome(*_round(state, graph, rng))
+    def draw(k: int) -> np.ndarray:
+        return np.fromiter(iter(rng.random, None), dtype=float, count=k)
+
+    return _outcome(*_round(state, graph, draw))
 
 
-def _round(state: SimState, graph: Graph, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One round in place; returns the beepers, the joiners and the joiners'
-    neighbours that were active until this round."""
+def _round(state: SimState, graph: Graph,
+           draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round in place; ``draw(k)`` gives the next k uniform doubles.
+    Returns the beepers, the joiners and the joiners' neighbours that were
+    active until this round."""
     policy = state.policy
     pstate = state.policy_state
     active = state.active
 
     p_uniform = policy.uniform_probability(pstate)
-    p = policy.beep_probability(pstate, active) if p_uniform is None else p_uniform
-    # One rng.random() per active node in ascending node order, the stream a
-    # per-node loop would draw.
-    draws = np.fromiter(iter(rng.random, None), dtype=float, count=active.size)
-    beeped = active[draws < p]
+    per_node = p_uniform is None
+    p = policy.beep_probability(pstate, active) if per_node else p_uniform
+    # One draw per active node in ascending node order, the stream a per-node
+    # loop would draw.
+    beeps = draw(active.size) < p
+    beeped = active[beeps]
     state.beep_counts[beeped] += 1
 
-    heard = np.zeros(graph.node_count, dtype=bool)
-    heard[_neighbours_of(graph, beeped)] = True
+    # A schedule reads heard only for the join test, a per-node policy for
+    # every active node's update.
+    heard = _heard(graph, beeped, active if per_node else beeped)
     # A beeper joins exactly when none of its neighbours beeped this round.
-    joined = beeped[~heard[beeped]]
-    state.in_mis[joined] = True
-
-    alive = state.alive
-    # Joiners are never adjacent, so a joiner is not among these neighbours.
-    dropped = _neighbours_of(graph, joined)
-    dropped = dropped[alive[dropped]]
-    alive[joined] = False
-    alive[dropped] = False
+    joined = beeped[~(heard[beeps] if per_node else heard)]
     if joined.size:
-        active = active[alive[active]]
+        state.in_mis[joined] = True
+        alive = state.alive
+        starts = graph.indptr[joined]
+        # Joiners are never adjacent, so a joiner is not among these neighbours.
+        dropped = _row_entries(graph, starts, graph.indptr[joined + 1] - starts)
+        dropped = dropped[alive[dropped]]
+        alive[joined] = False
+        alive[dropped] = False
+        survives = alive[active]
+        active = active[survives]
         state.active = active
+        if per_node:
+            heard = heard[survives]
+    else:
+        dropped = joined  # nobody joined, so nobody is dropped
 
     # Survivors only: nodes deactivated this round receive no policy update.
-    if p_uniform is None:
-        heard_active = heard[active]
-        policy.update(pstate, active[heard_active], active[~heard_active])
+    if per_node:
+        policy.update(pstate, active[heard], active[~heard])
     else:
         policy.end_round(pstate)
     state.round += 1
@@ -169,10 +261,10 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
     if max_rounds < 1:
         raise InvalidParameter(f"max_rounds must be >= 1, got {max_rounds!r}")
     state = new_state(graph, policy)
-    rng = random.Random(int(seed) & _MASK64)
+    draw = _batched_draws(seed)
     trace: list[RoundOutcome] | None = [] if keep_trace else None
     while state.active.size and state.round < max_rounds:
-        arrays = _round(state, graph, rng)
+        arrays = _round(state, graph, draw)
         if trace is not None:
             trace.append(_outcome(*arrays))
     beep_counts = state.beep_counts.tolist()

@@ -1,6 +1,8 @@
+import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from beepmis import (
     complete_graph,
     default_max_rounds,
     enumerate_mis,
+    erdos_renyi,
     grid_graph,
     neighbourhood_weight,
     new_state,
@@ -23,6 +26,7 @@ from beepmis import (
     run,
     step,
 )
+from beepmis import engine
 
 from conftest import BEEP, SILENT, StubRNG, replay_check, small_graphs
 from reference_engine import reference_run
@@ -185,6 +189,65 @@ class TestReferenceEngine:
         for seed in range(5):
             assert run(g, policy, seed, keep_trace=True) == reference_run(g, policy, seed)
 
+    @pytest.mark.parametrize("policy_text", ["feedback", "sweep"])
+    def test_dense_random_graph_equals_reference(self, policy_text):
+        # dense rows with many beepers: the rounds where the heard test runs
+        # bottom-up
+        policy = parse_policy(policy_text)
+        for seed in range(3):
+            g = erdos_renyi(200, 0.5, seed)
+            assert run(g, policy, seed, keep_trace=True) == reference_run(g, policy, seed)
+
+    def test_first_round_crosses_generator_refill(self):
+        # 700 draws in round one run past the 624-word MT19937 state
+        g = path_graph(700)
+        for policy_text in ("feedback", "sweep"):
+            policy = parse_policy(policy_text)
+            assert run(g, policy, 3, keep_trace=True) == reference_run(g, policy, 3)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    def test_batches_equal_random_stream(self, seed):
+        draw = engine._batched_draws(seed)
+        expected = random.Random(seed)
+        for k in (0, 1, 623, 624, 625, 5000):
+            assert draw(k).tolist() == [expected.random() for _ in range(k)]
+
+    def test_seed_taken_as_64_bit_word(self):
+        assert engine._batched_draws(-1)(10).tolist() == engine._batched_draws(2**64 - 1)(10).tolist()
+
+
+def heard_reference(graph, beeped, queries):
+    beepers = set(beeped.tolist())
+    return [bool(beepers.intersection(graph.neighbours(q))) for q in queries.tolist()]
+
+
+class TestHeard:
+    def test_equals_set_based_flags_in_both_directions(self, monkeypatch):
+        calls = {"top_down": 0, "bottom_up": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "_heard_top_down", counted("top_down", engine._heard_top_down))
+        monkeypatch.setattr(engine, "_heard_bottom_up", counted("bottom_up", engine._heard_bottom_up))
+        graphs = [erdos_renyi(n, p, seed) for seed, n in enumerate((1, 2, 37, 120, 300))
+                  for p in (0.05, 0.5, 1.0)]
+        graphs += [grid_graph(13, 17), clique_family(6)]
+        rng = np.random.default_rng(5)
+        for g in graphs:
+            n = g.node_count
+            for fraction in (1 / n, 0.01, 0.1, 0.3, 0.7, 1.0):
+                active = np.flatnonzero(rng.random(n) < 0.8)
+                beeped = active[rng.random(active.size) < fraction]
+                for queries in (beeped, active):
+                    assert engine._heard(g, beeped, queries).tolist() == heard_reference(g, beeped, queries)
+        assert calls["top_down"] and calls["bottom_up"]
+
 
 class TestNeighbourhoodWeight:
     def test_isolated(self):
@@ -227,6 +290,24 @@ def traced_peak_mib(build_and_run):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+class TestWork:
+    def test_sweep_dense_reads_few_rows(self, monkeypatch):
+        # marking every beeper's whole row reads 17.6 times the graph's CSR
+        # entries here; a round should read what its answers need
+        read = []
+        row_entries = engine._row_entries
+
+        def counted(graph, starts, lengths):
+            entries = row_entries(graph, starts, lengths)
+            read.append(entries.size)
+            return entries
+
+        monkeypatch.setattr(engine, "_row_entries", counted)
+        g = erdos_renyi(512, 0.5, 1)
+        assert run(g, GlobalSweep(), 1).terminated
+        assert sum(read) <= 3 * g.indices.size
 
 
 class TestLinearMemory:

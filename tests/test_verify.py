@@ -1,12 +1,13 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from beepmis import (
     Graph,
     InvalidParameter,
     TooLarge,
+    VerifyReport,
     check_mis,
     complete_graph,
     enumerate_mis,
@@ -15,6 +16,17 @@ from beepmis import (
 )
 
 from conftest import small_graphs
+
+
+def reference_check_mis(graph, candidate):
+    """Naive set-based oracle for ``check_mis``: plain loops over
+    ``neighbours(v)``, first violation in ascending node order."""
+    members = set(candidate)
+    witness_edge = next(((v, u) for v in sorted(members) for u in graph.neighbours(v)
+                         if u > v and u in members), None)
+    witness_vertex = next((v for v in range(graph.node_count) if v not in members
+                           and not members.intersection(graph.neighbours(v))), None)
+    return VerifyReport(witness_edge is None, witness_vertex is None, witness_edge, witness_vertex)
 
 
 class TestCheckMis:
@@ -49,6 +61,23 @@ class TestCheckMis:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameter):
             check_mis(path_graph(3), {3})
+
+    def test_rejects_negative_id(self):
+        # a negative id must not wrap around to the last node
+        with pytest.raises(InvalidParameter, match="candidate node -1 out of range for 3 nodes"):
+            check_mis(path_graph(3), [0, 2, -1])
+
+    def test_rejects_huge_id(self):
+        with pytest.raises(InvalidParameter, match=f"candidate node {2**70} out of range"):
+            check_mis(path_graph(3), [2**70])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_reference(self, data):
+        g = data.draw(small_graphs(max_nodes=14))
+        candidate = data.draw(st.sets(st.integers(0, max(g.node_count - 1, 0)))
+                              if g.node_count else st.just(set()))
+        assert check_mis(g, candidate) == reference_check_mis(g, candidate)
 
     def test_empty_set_maximal_only_for_empty_graph(self):
         assert check_mis(Graph(0), set()).ok
