@@ -50,10 +50,6 @@ SEED_ENV_VAR = "BEEPMIS_SEED"
 # Reproduction presets: feedback vs sweep over powers of two, fixed trial counts.
 FIG_POLICIES = ("feedback", "sweep")
 FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
-FIG3_GRAPHS = ("er:0.5",)
-FIG3_TRIALS = 100
-FIG5_GRAPHS = ("er:0.5", "grid")
-FIG5_TRIALS = 200
 
 
 class _UsageError(BeepMISError):
@@ -248,21 +244,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]
 
 
-def _group_keys(records: list[TrialRecord]) -> list[tuple[str, str, int]]:
-    keys = []
-    seen = set()
+def _groups(records: list[TrialRecord]) -> dict[tuple[str, str, int], list[TrialRecord]]:
+    """Records by (policy, graph, n), keys in order of first appearance."""
+    groups: dict[tuple[str, str, int], list[TrialRecord]] = {}
     for r in records:
-        key = (r.policy, r.graph, r.n)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-    return keys
+        groups.setdefault((r.policy, r.graph, r.n), []).append(r)
+    return groups
 
 
 def print_summaries(records: list[TrialRecord]) -> None:
     """One line of summary statistics per (policy, graph, n) group."""
-    for policy, graph_name, n in _group_keys(records):
-        batch = [r for r in records if (r.policy, r.graph, r.n) == (policy, graph_name, n)]
+    for (policy, graph_name, n), batch in _groups(records).items():
         done = filter_terminated(batch)
         prefix = f"policy={policy} graph={graph_name} n={n} trials={len(batch)} terminated={len(done)}"
         if not done:
@@ -327,37 +319,55 @@ def _print_witnesses(report) -> None:
         print(f"witness: vertex {report.witness_vertex} addable")
 
 
-def _run_batch(args, graphs, policies, n_values, trials: int, max_rounds=None) -> list[TrialRecord]:
-    """Run one experiment for a batch command and write its CSV to --output."""
-    spec = ExperimentSpec(tuple(policies), tuple(graphs), tuple(n_values), trials,
-                          _resolve_seed(args.seed), max_rounds)
+def cmd_batch(args) -> int:
+    """Run the command's experiment, write its CSV to --output and report on it."""
+    spec = ExperimentSpec(tuple(args.policies), tuple(args.graphs), tuple(args.n), args.trials,
+                          _resolve_seed(args.seed), args.max_rounds)
     records = run_experiment(spec, jobs=args.jobs)
     write_records(args.output, records)
-    return records
-
-
-def cmd_experiment(args) -> int:
-    records = _run_batch(args, [args.graph], [args.policy], args.n, args.trials, args.max_rounds)
-    print_summaries(records)
+    args.report(records, args)
     print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK
 
 
-def cmd_lowerbound(args) -> int:
-    records = _run_batch(args, ["cliquefam"], args.policies, args.m, args.trials, args.max_rounds)
+def _report_summaries(records: list[TrialRecord], args) -> None:
+    print_summaries(records)
+
+
+def _report_lowerbound(records: list[TrialRecord], args) -> None:
     print_summaries(records)
     # Paired comparison: same trial seeds for every policy at a given m.
     if len(args.policies) == 2:
         first, second = args.policies
-        for m in args.m:
-            param = str(m)
-            a = filter_terminated([r for r in records if r.policy == first and r.param == param])
-            b = filter_terminated([r for r in records if r.policy == second and r.param == param])
+        done = {(policy, batch[0].param): filter_terminated(batch)
+                for (policy, _, _), batch in _groups(records).items()}
+        for m in args.n:
+            a, b = done.get((first, str(m))), done.get((second, str(m)))
             if a and b:
                 ratio = summarize(b, "rounds").mean / summarize(a, "rounds").mean
                 print(f"m={m} {second}/{first} mean-rounds ratio={ratio:.3f}")
-    print(f"wrote {len(records)} rows to {args.output}")
-    return EXIT_OK
+
+
+def _report_fig3(records: list[TrialRecord], args) -> None:
+    """Per n, each policy's mean rounds next to its reference curve."""
+    groups = _groups(records)
+    for n in args.n:
+        fb, sw = (filter_terminated(groups.get((policy, "er", n), [])) for policy in FIG_POLICIES)
+        if n >= 2 and fb and sw:
+            log2n, log2n_sq, scaled = reference_curves(n)
+            print(
+                f"n={n} feedback mean={summarize(fb, 'rounds').mean:.2f} (2.5*log2 n={scaled:.2f})"
+                f" sweep mean={summarize(sw, 'rounds').mean:.2f} (log2^2 n={log2n_sq:.2f})"
+            )
+
+
+# The reproduction presets: (command, help, graph families, trials, report).
+# Each writes <command without "reproduce-">.csv by default.
+PRESETS = (
+    ("reproduce-fig3", "round-count scaling preset (100 trials)", ("er:0.5",), 100, _report_fig3),
+    ("reproduce-fig5", "beeps-per-node scaling preset (200 trials)", ("er:0.5", "grid"), 200,
+     _report_summaries),
+)
 
 
 def cmd_verify(args) -> int:
@@ -381,31 +391,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def cmd_reproduce_fig3(args) -> int:
-    """Round-count scaling comparison: feedback vs sweep on G(n, 1/2), 100 trials."""
-    ns = args.n or FIG_N_VALUES
-    records = _run_batch(args, FIG3_GRAPHS, FIG_POLICIES, ns, FIG3_TRIALS)
-    for n in ns:
-        fb = filter_terminated([r for r in records if r.policy == "feedback" and r.n == n])
-        sw = filter_terminated([r for r in records if r.policy == "sweep" and r.n == n])
-        if n >= 2 and fb and sw:
-            log2n, log2n_sq, scaled = reference_curves(n)
-            print(
-                f"n={n} feedback mean={summarize(fb, 'rounds').mean:.2f} (2.5*log2 n={scaled:.2f})"
-                f" sweep mean={summarize(sw, 'rounds').mean:.2f} (log2^2 n={log2n_sq:.2f})"
-            )
-    print(f"wrote {len(records)} rows to {args.output}")
-    return EXIT_OK
-
-
-def cmd_reproduce_fig5(args) -> int:
-    """Beeps-per-node scaling: feedback vs sweep on G(n, 1/2) and square grids, 200 trials."""
-    records = _run_batch(args, FIG5_GRAPHS, FIG_POLICIES, args.n or FIG_N_VALUES, FIG5_TRIALS)
-    print_summaries(records)
-    print(f"wrote {len(records)} rows to {args.output}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beepmis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,46 +406,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", action="store_true", help="print per-round beeped/joined/deactivated sets")
     p_run.set_defaults(func=cmd_run)
 
-    p_exp = sub.add_parser("experiment", help="run a trial batch and write CSV")
-    p_exp.add_argument("--graph", required=True,
+    # The options every batch command shares; each sets what else it runs.
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--seed", type=int, default=None)
+    batch.add_argument("--jobs", type=int, default=1)
+    batch.set_defaults(func=cmd_batch, max_rounds=None)
+
+    p_exp = sub.add_parser("experiment", parents=[batch], help="run a trial batch and write CSV")
+    p_exp.add_argument("--graph", nargs=1, required=True, dest="graphs", metavar="GRAPH",
                        help="er:<p> | grid | clique | cliquefam | path | file:<path>")
-    p_exp.add_argument("--policy", required=True)
+    p_exp.add_argument("--policy", nargs=1, required=True, dest="policies", metavar="POLICY")
     p_exp.add_argument("--n", type=int, nargs="+", required=True, help="size values")
     p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
     p_exp.add_argument("--output", default="experiment.csv")
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.set_defaults(func=cmd_experiment)
+    p_exp.set_defaults(report=_report_summaries)
 
-    p_low = sub.add_parser("lowerbound", help="sweep vs feedback on clique families")
-    p_low.add_argument("--m", type=int, nargs="+", default=[4, 6, 8, 10])
+    p_low = sub.add_parser("lowerbound", parents=[batch], help="sweep vs feedback on clique families")
+    p_low.add_argument("--m", type=int, nargs="+", default=[4, 6, 8, 10], dest="n", metavar="M")
     p_low.add_argument("--policies", nargs="+", default=["feedback", "sweep"])
     p_low.add_argument("--trials", type=int, default=100)
-    p_low.add_argument("--seed", type=int, default=None)
     p_low.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
     p_low.add_argument("--output", default="lowerbound.csv")
-    p_low.add_argument("--jobs", type=int, default=1)
-    p_low.set_defaults(func=cmd_lowerbound)
+    p_low.set_defaults(graphs=("cliquefam",), report=_report_lowerbound)
 
     p_ver = sub.add_parser("verify", help="check a node set against a graph file")
     p_ver.add_argument("graph_file")
     p_ver.add_argument("set_file", help="one node index per line")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_f3 = sub.add_parser("reproduce-fig3", help="round-count scaling preset (100 trials)")
-    p_f3.add_argument("--n", type=int, nargs="+", default=None)
-    p_f3.add_argument("--seed", type=int, default=None)
-    p_f3.add_argument("--output", default="fig3.csv")
-    p_f3.add_argument("--jobs", type=int, default=1)
-    p_f3.set_defaults(func=cmd_reproduce_fig3)
-
-    p_f5 = sub.add_parser("reproduce-fig5", help="beeps-per-node scaling preset (200 trials)")
-    p_f5.add_argument("--n", type=int, nargs="+", default=None)
-    p_f5.add_argument("--seed", type=int, default=None)
-    p_f5.add_argument("--output", default="fig5.csv")
-    p_f5.add_argument("--jobs", type=int, default=1)
-    p_f5.set_defaults(func=cmd_reproduce_fig5)
+    for name, help_text, graphs, trials, report in PRESETS:
+        p_fig = sub.add_parser(name, parents=[batch], help=help_text)
+        p_fig.add_argument("--n", type=int, nargs="+", default=FIG_N_VALUES)
+        p_fig.add_argument("--output", default=name.removeprefix("reproduce-") + ".csv")
+        p_fig.set_defaults(graphs=graphs, policies=FIG_POLICIES, trials=trials, report=report)
 
     return parser
 

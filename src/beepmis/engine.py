@@ -26,7 +26,6 @@ sweep run on G(512, 1/2) reads about as many entries as the graph holds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -34,8 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graph import Graph
-
-_MASK64 = (1 << 64) - 1
+from .seeding import MASK64
 
 
 @dataclass(frozen=True)
@@ -164,19 +162,19 @@ def _any_marked(graph: Graph, marked: np.ndarray, starts: np.ndarray,
 def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
     """k -> the next k doubles of ``random.Random(seed & MASK64).random()``.
 
-    CPython and numpy share the MT19937 generator and the 53-bit
-    ``genrand_res53`` conversion, so numpy, started from the state CPython's
-    seeding leaves, yields the same doubles in one batch per call.  The
-    generator is built from a fixed seed and then overwritten, which keeps
-    OS entropy out of the path.
+    CPython and numpy share the MT19937 generator, its ``init_by_array``
+    seeding and the 53-bit ``genrand_res53`` conversion.  CPython seeds from
+    the 32-bit words of the integer, least significant first, at least one;
+    numpy's legacy seeding takes the same key when given a list (a single
+    integer would go through ``init_genrand`` instead).  The generator is
+    built from a fixed seed before it is reseeded, which keeps OS entropy out
+    of the path.
     """
-    internal = random.Random(int(seed) & _MASK64).getstate()[1]
-    bit_generator = np.random.MT19937(0)
-    bit_generator.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
-    }
-    return np.random.Generator(bit_generator).random
+    masked = int(seed) & MASK64
+    words = [(masked >> shift) & 0xFFFF_FFFF for shift in range(0, max(masked.bit_length(), 1), 32)]
+    rs = np.random.RandomState(np.random.MT19937(0))
+    rs.seed(words)
+    return rs.random_sample
 
 
 def step(state: SimState, graph: Graph, rng) -> RoundOutcome:

@@ -14,9 +14,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError
+from .errors import InvalidParameter, ParseError, TooLarge
+from .seeding import MASK64
 
-_MASK64 = (1 << 64) - 1
+# Most cells a graph build may allocate: one per node, or one per node pair
+# for the dense builders (G(n, p) and cliques).  16 times the largest input in
+# use (path:1000000, and G(n, p) at n = 1024, both about 2^20 cells), so a
+# mistyped size or file header fails with TooLarge before it exhausts memory.
+_CELL_BUDGET = 1 << 24
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > _CELL_BUDGET:
+        raise TooLarge(f"{what}: {cells} cells, over the budget of {_CELL_BUDGET}")
 
 
 class Graph:
@@ -34,6 +44,7 @@ class Graph:
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(node_count, int) or isinstance(node_count, bool) or node_count < 0:
             raise InvalidParameter(f"node_count must be a nonnegative integer, got {node_count!r}")
+        _check_cells(node_count, f"graph on {node_count} nodes")
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
         if bad.any():
@@ -134,9 +145,17 @@ def validate_graph(g: Graph) -> None:
         raise InvalidParameter("adjacency is not symmetric")
 
 
-def _cliques(sizes) -> Graph:
-    """Disjoint union of complete graphs with the given sizes, laid out in order."""
-    sizes = np.asarray(sizes, dtype=np.int64)
+def _cliques(sizes: range, copies: int = 1) -> Graph:
+    """Disjoint union of ``copies`` complete graphs on d nodes for each d in sizes.
+
+    Blocks are laid out d ascending, the copies of one size next to each other.
+    """
+    def squares(x):  # 1 + 4 + ... + x * x, the cells of one copy of each K_1..K_x
+        return x * (x + 1) * (2 * x + 1) // 6
+
+    _check_cells(copies * (squares(sizes[-1]) - squares(sizes[0] - 1)),
+                 f"cliques of {sizes[0]} to {sizes[-1]} nodes, {copies} of each")
+    sizes = np.repeat(np.arange(sizes.start, sizes.stop, dtype=np.int64), copies)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # first node of each node's block
     local = np.arange(len(start)) - start
     degree = np.repeat(sizes, sizes) - 1
@@ -151,7 +170,7 @@ def complete_graph(d: int) -> Graph:
     """Complete graph on d nodes (every pair adjacent)."""
     if not isinstance(d, int) or d < 1:
         raise InvalidParameter(f"complete_graph requires d >= 1, got {d!r}")
-    return _cliques([d])
+    return _cliques(range(d, d + 1))
 
 
 def clique_family(m: int) -> Graph:
@@ -162,7 +181,7 @@ def clique_family(m: int) -> Graph:
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"clique_family requires m >= 1, got {m!r}")
-    return _cliques(np.repeat(np.arange(1, m + 1), m))
+    return _cliques(range(1, m + 1), m)
 
 
 def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
@@ -177,7 +196,8 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
         raise InvalidParameter(f"erdos_renyi requires n >= 1, got {n!r}")
     if not 0.0 <= p_edge <= 1.0:
         raise InvalidParameter(f"p_edge must be in [0, 1], got {p_edge!r}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    _check_cells(n * n, f"G(n, p) on {n} nodes")
+    rng = np.random.default_rng(int(seed) & MASK64)
     draws = rng.random(n * (n - 1) // 2)
     # The dense upper triangle, filled row by row in draw order, then
     # mirrored; its nonzero positions in row-major order are CSR order.
@@ -192,6 +212,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """Rectangular grid: node (r, c) at index r*cols + c, 4-neighbour adjacency."""
     if not isinstance(rows, int) or rows < 1 or not isinstance(cols, int) or cols < 1:
         raise InvalidParameter(f"grid_graph requires rows, cols >= 1, got {rows!r}, {cols!r}")
+    _check_cells(rows * cols, f"{rows}x{cols} grid")
     v = np.arange(rows * cols)
     r, c = np.divmod(v, cols)
     # Up, left, right, down: increasing node order within each row.

@@ -5,20 +5,15 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import EmptySample, InvalidParameter
 
-CSV_HEADER = (
-    "policy", "graph", "n", "param", "trial", "seed",
-    "rounds", "terminated", "total_beeps", "beeps_per_node", "mis_size",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One simulation run, one CSV row."""
+    """One simulation run, one CSV row; the fields are the CSV columns, in order."""
 
     policy: str
     graph: str
@@ -105,20 +100,17 @@ def format_float(x: float) -> str:
     return f"{x:.6g}"
 
 
+CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
+
+# How a column of each field type is written and read back.  The annotations
+# are strings here (postponed evaluation), so the tables are keyed by name.
+_WRITE = {"str": str, "int": str, "float": format_float, "bool": lambda b: "true" if b else "false"}
+_READ = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
+_COLUMN_TYPES = tuple(f.type for f in fields(TrialRecord))
+
+
 def record_to_row(r: TrialRecord) -> list[str]:
-    return [
-        r.policy,
-        r.graph,
-        str(r.n),
-        r.param,
-        str(r.trial),
-        str(r.seed),
-        str(r.rounds),
-        "true" if r.terminated else "false",
-        str(r.total_beeps),
-        format_float(r.beeps_per_node),
-        str(r.mis_size),
-    ]
+    return [_WRITE[kind](getattr(r, name)) for name, kind in zip(CSV_HEADER, _COLUMN_TYPES)]
 
 
 def write_records(path: str, records: Iterable[TrialRecord]) -> None:
@@ -139,17 +131,5 @@ def read_records(path: str) -> list[TrialRecord]:
         if header != list(CSV_HEADER):
             raise InvalidParameter(f"unexpected CSV header {header!r}")
         for row in reader:
-            records.append(TrialRecord(
-                policy=row[0],
-                graph=row[1],
-                n=int(row[2]),
-                param=row[3],
-                trial=int(row[4]),
-                seed=int(row[5]),
-                rounds=int(row[6]),
-                terminated=row[7] == "true",
-                total_beeps=int(row[8]),
-                beeps_per_node=float(row[9]),
-                mis_size=int(row[10]),
-            ))
+            records.append(TrialRecord(*(_READ[kind](text) for kind, text in zip(_COLUMN_TYPES, row))))
     return records

@@ -1,8 +1,10 @@
+import argparse
 import os
 
 import pytest
 
 import beepmis.cli as cli
+import beepmis.graph
 import beepmis.engine as engine
 from beepmis import InvalidParameter, read_records
 from beepmis.cli import (
@@ -104,6 +106,13 @@ class TestCmdRun:
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    def test_graph_over_cell_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(beepmis.graph, "_CELL_BUDGET", 16)
+        assert main(["run", "--graph", "path:16", "--policy", "sweep"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", "--graph", "path:17", "--policy", "sweep"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestRunVerifyRoundTrip:
     def test_emitted_mis_passes_cmd_verify(self, tmp_path, capsys):
@@ -173,6 +182,11 @@ class TestCmdVerify:
         s.write_text("0\nnope\n")
         assert main(["verify", str(g), str(s)]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    def test_header_over_cell_budget(self, tmp_path, capsys):
+        g, s = self.write(tmp_path, "1000000000 0\n", [0])
+        assert main(["verify", g, s]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_out_of_range_index(self, tmp_path, capsys):
         g, s = self.write(tmp_path, PATH3, [7])
@@ -324,3 +338,54 @@ class TestPresets:
         records = read_records(str(out))
         assert len(records) == 800  # 200 trials x 2 policies x 2 families
         assert {r.graph for r in records} == {"er", "grid"}
+
+
+FIG_N = (16, 32, 64, 128, 256, 512, 1024)
+
+
+class TestBatchSurface:
+    """Flags, defaults and default files of the batch commands: no new knob, no lost flag."""
+
+    OPTIONS = {
+        "experiment": {"--graph", "--policy", "--n", "--trials", "--seed", "--max-rounds",
+                       "--output", "--jobs"},
+        "lowerbound": {"--m", "--policies", "--trials", "--seed", "--max-rounds", "--output",
+                       "--jobs"},
+        "reproduce-fig3": {"--n", "--seed", "--output", "--jobs"},
+        "reproduce-fig5": {"--n", "--seed", "--output", "--jobs"},
+    }
+
+    def test_option_strings(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        for name, options in self.OPTIONS.items():
+            found = {s for action in commands[name]._actions for s in action.option_strings}
+            assert found == options | {"-h", "--help"}, name
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["experiment", "--graph", "path", "--policy", "sweep", "--n", "3"],
+         ExperimentSpec(("sweep",), ("path",), (3,), 100, 0)),
+        (["lowerbound"], ExperimentSpec(("feedback", "sweep"), ("cliquefam",), (4, 6, 8, 10), 100, 0)),
+        (["reproduce-fig3"], ExperimentSpec(("feedback", "sweep"), ("er:0.5",), FIG_N, 100, 0)),
+        (["reproduce-fig5"], ExperimentSpec(("feedback", "sweep"), ("er:0.5", "grid"), FIG_N, 200, 0)),
+    ])
+    def test_default_spec(self, argv, spec, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BEEPMIS_SEED", raising=False)
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda given, jobs=1: calls.append((given, jobs)) or [])
+        assert main(argv) == EXIT_OK
+        assert calls == [(spec, 1)]
+
+    @pytest.mark.parametrize("argv, output", [
+        (["experiment", "--graph", "path", "--policy", "sweep", "--n", "3", "--trials", "1"],
+         "experiment.csv"),
+        (["lowerbound", "--m", "1", "--trials", "1"], "lowerbound.csv"),
+        (["reproduce-fig3", "--n", "1"], "fig3.csv"),
+        (["reproduce-fig5", "--n", "1"], "fig5.csv"),
+    ])
+    def test_default_output_file(self, argv, output, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        assert os.listdir(tmp_path) == [output]
+        assert capsys.readouterr().out.endswith(f"rows to {output}\n")

@@ -207,7 +207,7 @@ class TestReferenceEngine:
 
 
 class TestDraws:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_batches_equal_random_stream(self, seed):
         draw = engine._batched_draws(seed)
         expected = random.Random(seed)

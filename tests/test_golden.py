@@ -58,6 +58,26 @@ CASES = {
         "cf561f979ca45727481a52d79cf374598866f9803df47586c5a03f547c8f1172",
         "1657dd3502e7744832e46b994751e10d544a2965283db6b62c8b3d8479d01dac",
     ),
+    # three policies: the paired ratio lines need exactly two
+    "lowerbound-three-policies": (
+        ["lowerbound", "--m", "2", "3", "--policies", "feedback", "sweep", "const:0.5",
+         "--trials", "3"],
+        "ea578fa6a54435af11fb336f1d803184294fb2baefa882c01faa5e4630afdf2a",
+        "54078871fcf042b4a42720761327ebcf0532e9ea9c6c843c980bdd005a07e0ac",
+    ),
+    # n = 1 has no reference curve, so it prints no line
+    "reproduce-fig3-n1": (
+        ["reproduce-fig3", "--n", "1", "16"],
+        "538f1dcc2a36937194ef4bd21bf19df4a00a902f54b242a80d815710b3fbe69f",
+        "423819b9e6ea644c0c60e557aaf0620df759e76ebfe624f64d8f6cf97d94573a",
+    ),
+    # every trial hits the round cap: the summary line has no statistics
+    "experiment-none-terminated": (
+        ["experiment", "--graph", "clique", "--policy", "const:1.0",
+         "--n", "3", "--trials", "2", "--max-rounds", "2"],
+        "48787ad46e0becd2247a050143bfea5c8a49646362a837f505db72bcfdab1173",
+        "1c2511321a94a2dbb28d4c3d519e756274b9efddb809b2b82d007ff5151ddfee",
+    ),
     "run-grid-trace": (
         ["run", "--graph", "grid:8,8", "--policy", "feedback", "--trace", "--seed", "18"],
         None,
@@ -85,6 +105,7 @@ def sha256(data: bytes) -> str:
 def test_golden_bytes(name, tmp_path, monkeypatch, capsys):
     argv, csv_digest, stdout_digest = CASES[name]
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BEEPMIS_SEED", raising=False)  # cases without --seed use 0
     if csv_digest is not None:
         argv = argv + ["--output", "out.csv"]
     assert main(argv) == 0

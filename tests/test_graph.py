@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import beepmis.graph as graph_module
 from beepmis import (
     Graph,
     InvalidParameter,
     ParseError,
+    TooLarge,
     clique_family,
     complete_graph,
     erdos_renyi,
@@ -287,3 +289,29 @@ class TestEdgeListFormat:
     def test_text_roundtrip(self):
         text = "4 2\n0 3\n1 2\n"
         assert write_edge_list(parse_edge_list(text)) == text
+
+
+class TestCellBudget:
+    # A budget of 16 cells: each builder is admitted at 16 and refused just above.
+    @pytest.mark.parametrize("build, fits, too_big", [
+        (Graph, 16, 17),
+        (lambda n: parse_edge_list(f"{n} 0\n"), 16, 17),
+        (path_graph, 16, 17),
+        (lambda cols: grid_graph(4, cols), 4, 5),
+        (lambda n: erdos_renyi(n, 0.5, 0), 4, 5),  # n * n node pairs
+        (complete_graph, 4, 5),
+        (clique_family, 2, 3),  # m * (1 + 4 + ... + m * m): 10, then 42
+    ])
+    def test_builders_refuse_over_budget(self, monkeypatch, build, fits, too_big):
+        monkeypatch.setattr(graph_module, "_CELL_BUDGET", 16)
+        build(fits)
+        with pytest.raises(TooLarge):
+            build(too_big)
+
+    def test_header_checked_before_allocation(self):
+        # at the real budget: the check comes before anything is allocated
+        with pytest.raises(TooLarge):
+            parse_edge_list("1000000000 0\n")
+
+    def test_inputs_in_use_fit(self):
+        assert graph_module._CELL_BUDGET >= max(1_000_000, 1024 * 1024)
