@@ -8,16 +8,7 @@ generators, an exhaustive verifier, and a reproducible Monte-Carlo
 experiment harness with CSV output.
 """
 
-from .engine import (
-    RoundOutcome,
-    RunResult,
-    SimState,
-    default_max_rounds,
-    neighbourhood_weight,
-    new_state,
-    run,
-    step,
-)
+from .engine import RoundOutcome, RunResult, default_max_rounds, run
 from .errors import BeepMISError, EmptySample, InvalidParameter, ParseError, TooLarge
 from .graph import (
     Graph,
@@ -65,7 +56,6 @@ __all__ = [
     "ParseError",
     "RoundOutcome",
     "RunResult",
-    "SimState",
     "SummaryStats",
     "TooLarge",
     "TrialRecord",
@@ -78,8 +68,6 @@ __all__ = [
     "erdos_renyi",
     "filter_terminated",
     "grid_graph",
-    "neighbourhood_weight",
-    "new_state",
     "parse_edge_list",
     "parse_policy",
     "path_graph",
@@ -89,7 +77,6 @@ __all__ = [
     "run",
     "splitmix64",
     "stable_mix",
-    "step",
     "summarize",
     "sweep_phase_position",
     "validate_graph",

@@ -337,8 +337,9 @@ def _report_summaries(records: list[TrialRecord], args) -> None:
 def _report_lowerbound(records: list[TrialRecord], args) -> None:
     print_summaries(records)
     # Paired comparison: same trial seeds for every policy at a given m.
+    # Records carry canonical names, so "const:0.50" is looked up as "const:0.5".
     if len(args.policies) == 2:
-        first, second = args.policies
+        first, second = (parse_policy(p).name for p in args.policies)
         done = {(policy, batch[0].param): filter_terminated(batch)
                 for (policy, _, _), batch in _groups(records).items()}
         for m in args.n:
@@ -371,8 +372,7 @@ PRESETS = (
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph_file, "r", encoding="utf-8") as f:
-        g = parse_edge_list(f.read())
+    g = _load_graph_file(args.graph_file)
     candidate = set()
     with open(args.set_file, "r", encoding="utf-8") as f:
         for i, raw in enumerate(f.read().splitlines(), start=1):

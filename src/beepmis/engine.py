@@ -1,15 +1,14 @@
 """Synchronous two-exchange round engine for beeping MIS protocols.
 
-One round: every active node beeps independently with its policy probability
-(first exchange, beeps heard by all neighbours the same round); a node that
-beeped and heard nothing joins the independent set, and every active
-neighbour of a joiner becomes inactive (second exchange); each surviving
-active node then receives the policy update for what it heard.  Per-round,
-per-node random draws are consumed in ascending node index over active nodes
-only, which pins within-implementation determinism for a given seed.
-:func:`run` draws a round's doubles in one batch from the very stream of
-``random.Random(seed)`` (see :func:`_batched_draws`); :func:`step` accepts
-any object with a ``random()`` method.
+:func:`run` is the only entry point.  One round: every active node beeps
+independently with its policy probability (first exchange, beeps heard by
+all neighbours the same round); a node that beeped and heard nothing joins
+the independent set, and every active neighbour of a joiner becomes inactive
+(second exchange); each surviving active node then receives the policy
+update for what it heard.  Per-round, per-node random draws are consumed in
+ascending node index over active nodes only, which pins within-implementation
+determinism for a given seed; a round's doubles come in one batch from the
+very stream of ``random.Random(seed)`` (see :func:`_batched_draws`).
 
 Node state is held in numpy arrays over the graph's CSR rows.  The heard
 test needs an answer for the beepers under a schedule (the join test) and
@@ -26,6 +25,7 @@ sweep run on G(512, 1/2) reads about as many entries as the graph holds.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -62,7 +62,7 @@ class RunResult:
 
 
 @dataclass
-class SimState:
+class _State:
     """Mutable state of one run; confined to a single run, never shared.
 
     ``active`` lists the active nodes in increasing order; ``alive`` and
@@ -83,9 +83,9 @@ def default_max_rounds(node_count: int) -> int:
     return 64 * (node_count + 1).bit_length() ** 2 + 64
 
 
-def new_state(graph: Graph, policy) -> SimState:
+def _new_state(graph: Graph, policy) -> _State:
     n = graph.node_count
-    return SimState(
+    return _State(
         round=0,
         active=np.arange(n),
         alive=np.ones(n, dtype=bool),
@@ -159,6 +159,11 @@ def _any_marked(graph: Graph, marked: np.ndarray, starts: np.ndarray,
     return before[bounds[1:]] > before[bounds[:-1]]
 
 
+# One generator per thread, reseeded by every run: concurrent runs in
+# different threads never share a stream.
+_generators = threading.local()
+
+
 def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
     """k -> the next k doubles of ``random.Random(seed & MASK64).random()``.
 
@@ -166,30 +171,21 @@ def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
     seeding and the 53-bit ``genrand_res53`` conversion.  CPython seeds from
     the 32-bit words of the integer, least significant first, at least one;
     numpy's legacy seeding takes the same key when given a list (a single
-    integer would go through ``init_genrand`` instead).  The generator is
-    built from a fixed seed before it is reseeded, which keeps OS entropy out
-    of the path.
+    integer would go through ``init_genrand`` instead).  The calling thread's
+    generator is reseeded in place, so the returned callable is valid until
+    the next ``_batched_draws`` call in the same thread.
     """
     masked = int(seed) & MASK64
     words = [(masked >> shift) & 0xFFFF_FFFF for shift in range(0, max(masked.bit_length(), 1), 32)]
-    rs = np.random.RandomState(np.random.MT19937(0))
+    rs = getattr(_generators, "rs", None)
+    if rs is None:
+        # Built from a fixed seed, which keeps OS entropy out of the path.
+        rs = _generators.rs = np.random.RandomState(np.random.MT19937(0))
     rs.seed(words)
     return rs.random_sample
 
 
-def step(state: SimState, graph: Graph, rng) -> RoundOutcome:
-    """Execute one round in place and report its outcome.
-
-    ``rng`` needs only a ``random()`` method returning floats in [0, 1); it
-    is called once per active node.
-    """
-    def draw(k: int) -> np.ndarray:
-        return np.fromiter(iter(rng.random, None), dtype=float, count=k)
-
-    return _outcome(*_round(state, graph, draw))
-
-
-def _round(state: SimState, graph: Graph,
+def _round(state: _State, graph: Graph,
            draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round in place; ``draw(k)`` gives the next k uniform doubles.
     Returns the beepers, the joiners and the joiners' neighbours that were
@@ -258,7 +254,7 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
         max_rounds = default_max_rounds(graph.node_count)
     if max_rounds < 1:
         raise InvalidParameter(f"max_rounds must be >= 1, got {max_rounds!r}")
-    state = new_state(graph, policy)
+    state = _new_state(graph, policy)
     draw = _batched_draws(seed)
     trace: list[RoundOutcome] | None = [] if keep_trace else None
     while state.active.size and state.round < max_rounds:
@@ -274,15 +270,3 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
         terminated=not state.active.size,
         trace=tuple(trace) if trace is not None else None,
     )
-
-
-def neighbourhood_weight(state: SimState, graph: Graph, v: int) -> float:
-    """Total current beep probability over the active neighbours of v.
-
-    Inactive neighbours contribute 0.  Diagnostic only; the protocol itself
-    never reads this quantity.
-    """
-    nbrs = np.array(graph.neighbours(v), dtype=np.int64)
-    nbrs = nbrs[state.alive[nbrs]]
-    p = state.policy.beep_probability(state.policy_state, nbrs)
-    return sum(np.broadcast_to(p, nbrs.shape).tolist(), 0.0)

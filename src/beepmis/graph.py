@@ -93,9 +93,6 @@ class Graph:
             raise InvalidParameter(f"node {v} out of range for {self.node_count} nodes")
         return tuple(self._indices[indptr[v]:indptr[v + 1]].tolist())
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbours(v))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         rows = np.repeat(np.arange(self.node_count), np.diff(self._indptr))

@@ -56,7 +56,6 @@ class SummaryStats:
     stddev: float
     minimum: float
     maximum: float
-    sample: bool = True  # stddev uses the N-1 divisor
 
 
 def summarize(records: Sequence, field: str) -> SummaryStats:

@@ -103,9 +103,6 @@ class Schedule:
     def uniform_probability(self, state: ScheduleState) -> float:
         return self.at(state.step)
 
-    def beep_probability(self, state: ScheduleState, nodes) -> float:
-        return self.at(state.step)
-
     def end_round(self, state: ScheduleState) -> None:
         state.step += 1
 

@@ -1,11 +1,12 @@
-"""Shared test helpers: stub RNG, graph strategies, trace replay checker."""
+"""Shared test helpers: scripted rounds, graph strategies, trace replay checker."""
 
 from enum import Enum
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
-from beepmis import Graph, check_mis
+from beepmis import Graph, check_mis, engine
 
 
 class NodeStatus(Enum):
@@ -14,15 +15,19 @@ class NodeStatus(Enum):
     INACTIVE_NEIGHBOUR = "inactive_neighbour"
 
 
-class StubRNG:
-    """Feeds a fixed sequence of draws to the engine; draws below the node's
-    probability produce a beep, so 0.0 forces a beep and 0.999 forces silence."""
+def scripted_round(state, graph, draws):
+    """Run one engine round on ``state`` with a fixed sequence of draws and
+    return its outcome; draws below the node's probability produce a beep, so
+    0.0 forces a beep and 0.999 forces silence."""
+    script = list(draws)
 
-    def __init__(self, values):
-        self._values = list(values)
+    def draw(k):
+        assert k <= len(script), "the round drew more values than scripted"
+        batch = np.array(script[:k], dtype=float)
+        del script[:k]
+        return batch
 
-    def random(self):
-        return self._values.pop(0)
+    return engine._outcome(*engine._round(state, graph, draw))
 
 
 BEEP = 0.0

@@ -313,6 +313,19 @@ class TestLowerbound:
         sw = [r.seed for r in records if r.policy == "sweep"]
         assert fb == sw
 
+    def test_policy_spelling_keeps_ratio_line(self, tmp_path, capsys):
+        # records carry the canonical name "const:0.5" for either spelling
+        outputs = []
+        for spelling in ("const:0.5", "const:0.50"):
+            out = tmp_path / f"{spelling}.csv"
+            code = main(["lowerbound", "--m", "2", "--policies", "feedback", spelling,
+                         "--trials", "2", "--seed", "4", "--output", str(out)])
+            assert code == EXIT_OK
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((stdout, out.read_bytes()))
+        assert "m=2 const:0.5/feedback mean-rounds ratio=" in outputs[0][0]
+        assert outputs[1] == outputs[0]
+
     def test_trivial_single_node_family(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"
         main(["lowerbound", "--m", "1", "--policies", "sweep", "--trials", "2",

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import product
 
@@ -19,16 +21,13 @@ from beepmis import (
     enumerate_mis,
     erdos_renyi,
     grid_graph,
-    neighbourhood_weight,
-    new_state,
     parse_policy,
     path_graph,
     run,
-    step,
 )
 from beepmis import engine
 
-from conftest import BEEP, SILENT, StubRNG, replay_check, small_graphs
+from conftest import BEEP, SILENT, replay_check, scripted_round, small_graphs
 from reference_engine import reference_run
 
 
@@ -43,8 +42,8 @@ class TestStep:
     def test_k2_both_beep(self):
         g = complete_graph(2)
         policy = LocalFeedback()
-        state = new_state(g, policy)
-        outcome = step(state, g, StubRNG([BEEP, BEEP]))
+        state = engine._new_state(g, policy)
+        outcome = scripted_round(state, g, [BEEP, BEEP])
         assert outcome.beeped == {0, 1}
         assert outcome.joined_mis == frozenset()
         assert outcome.newly_inactive == frozenset()
@@ -54,8 +53,8 @@ class TestStep:
 
     def test_k2_one_beeps(self):
         g = complete_graph(2)
-        state = new_state(g, LocalFeedback())
-        outcome = step(state, g, StubRNG([BEEP, SILENT]))
+        state = engine._new_state(g, LocalFeedback())
+        outcome = scripted_round(state, g, [BEEP, SILENT])
         assert outcome.joined_mis == {0}
         assert outcome.newly_inactive == {0, 1}
         # node 0 joined, node 1 became an inactive neighbour
@@ -72,9 +71,9 @@ class TestStep:
         join_probability = 0.0
         for bits in product((True, False), repeat=2):
             g = complete_graph(2)
-            state = new_state(g, LocalFeedback())
+            state = engine._new_state(g, LocalFeedback())
             draws = [BEEP if b else SILENT for b in bits]
-            outcome = step(state, g, StubRNG(draws))
+            outcome = scripted_round(state, g, draws)
             weight = 0.5 * 0.5
             expected_join = sum(bits) == 1
             assert bool(outcome.joined_mis) == expected_join
@@ -86,8 +85,8 @@ class TestStep:
         # both endpoints of a path join in one round; the middle node is
         # deactivated exactly once
         g = path_graph(3)
-        state = new_state(g, LocalFeedback())
-        outcome = step(state, g, StubRNG([BEEP, SILENT, BEEP]))
+        state = engine._new_state(g, LocalFeedback())
+        outcome = scripted_round(state, g, [BEEP, SILENT, BEEP])
         assert outcome.joined_mis == {0, 2}
         assert outcome.newly_inactive == {0, 1, 2}
         assert not state.alive[1] and not state.in_mis[1]  # an inactive neighbour
@@ -95,9 +94,9 @@ class TestStep:
     def test_silent_round_doubles_probability(self):
         g = complete_graph(2)
         policy = LocalFeedback()
-        state = new_state(g, policy)
+        state = engine._new_state(g, policy)
         state.policy_state[:] = 0.125
-        step(state, g, StubRNG([SILENT, SILENT]))
+        scripted_round(state, g, [SILENT, SILENT])
         assert state.policy_state.tolist() == [0.25, 0.25]
 
 
@@ -217,6 +216,32 @@ class TestDraws:
     def test_seed_taken_as_64_bit_word(self):
         assert engine._batched_draws(-1)(10).tolist() == engine._batched_draws(2**64 - 1)(10).tolist()
 
+    def test_concurrent_runs_equal_sequential(self):
+        # each thread reseeds its own generator; a shared one would let one
+        # run's draws land in another's stream
+        g = clique_family(6)
+        policy = LocalFeedback()
+        seeds = range(800)
+        expected = [run(g, policy, seed) for seed in seeds]
+        got = [None] * len(seeds)
+
+        def worker(offset):
+            for seed in seeds[offset::4]:
+                got[seed] = run(g, policy, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
 
 def heard_reference(graph, beeped, queries):
     beepers = set(beeped.tolist())
@@ -247,39 +272,6 @@ class TestHeard:
                 for queries in (beeped, active):
                     assert engine._heard(g, beeped, queries).tolist() == heard_reference(g, beeped, queries)
         assert calls["top_down"] and calls["bottom_up"]
-
-
-class TestNeighbourhoodWeight:
-    def test_isolated(self):
-        g = Graph(1)
-        state = new_state(g, LocalFeedback())
-        assert neighbourhood_weight(state, g, 0) == 0.0
-
-    def test_k3_fresh(self):
-        g = complete_graph(3)
-        state = new_state(g, LocalFeedback())
-        for v in range(3):
-            assert neighbourhood_weight(state, g, v) == 1.0
-
-    def test_k2_after_all_beep_round(self):
-        g = complete_graph(2)
-        state = new_state(g, LocalFeedback())
-        step(state, g, StubRNG([BEEP, BEEP]))
-        assert neighbourhood_weight(state, g, 0) == 0.25
-        assert neighbourhood_weight(state, g, 1) == 0.25
-
-    def test_inactive_neighbours_contribute_zero(self):
-        g = path_graph(3)
-        state = new_state(g, LocalFeedback())
-        step(state, g, StubRNG([BEEP, SILENT, SILENT]))  # 0 joins, 1 deactivated
-        assert neighbourhood_weight(state, g, 0) == 0.0  # sole neighbour now inactive
-        assert neighbourhood_weight(state, g, 1) == 0.5  # node 2 still active at p=1/2
-
-    def test_rejects_out_of_range(self):
-        g = complete_graph(2)
-        state = new_state(g, LocalFeedback())
-        with pytest.raises(InvalidParameter):
-            neighbourhood_weight(state, g, 2)
 
 
 def traced_peak_mib(build_and_run):

@@ -40,7 +40,6 @@ class TestSummarize:
         stats = summarize([make_record(rounds=2), make_record(rounds=4)], "rounds")
         assert stats.mean == 3
         assert stats.stddev == pytest.approx(math.sqrt(2))
-        assert stats.sample is True
 
     def test_empty_raises(self):
         with pytest.raises(EmptySample):

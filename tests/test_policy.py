@@ -77,8 +77,7 @@ class TestGlobalSweep:
         policy = GlobalSweep()
         state = policy.initial_state(7)
         state.step = 13
-        values = {policy.beep_probability(state, v) for v in range(7)}
-        assert len(values) == 1
+        assert policy.uniform_probability(state) == policy.at(13)
 
     def test_phase_starts_are_triangular(self):
         for k in range(1, 30):
@@ -183,7 +182,6 @@ class TestConstant:
         policy = Constant(0.3)
         state = policy.initial_state(3)
         assert policy.uniform_probability(state) == 0.3
-        assert policy.beep_probability(state, 2) == 0.3
 
     def test_rejects_zero_and_above_one(self):
         with pytest.raises(InvalidParameter):
