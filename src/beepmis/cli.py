@@ -52,13 +52,9 @@ FIG_POLICIES = ("feedback", "sweep")
 FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
 
 
-class _UsageError(BeepMISError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit 1
-        raise _UsageError(message)
+        raise InvalidParameter(message)
 
 
 @dataclass(frozen=True)
@@ -85,22 +81,8 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class GraphFamily:
-    """A graph family parameterized by the experiment size value n."""
-
-    name: str
-    build: Callable[[int, int], Graph]  # (n, seed) -> Graph
-    param: Callable[[int], str]         # n -> CSV param column
-
-
-@dataclass(frozen=True)
 class GraphHead:
-    """One head of the graph grammars, e.g. ``er`` or ``grid``.
-
-    A single-run spec gives the ``sized`` fields and then the ``fixed`` ones,
-    comma-separated; an experiment spec gives only the fixed ones, and
-    ``size(n)`` supplies the sized values from the experiment's n.
-    """
+    """One head of the graph grammar, e.g. ``er`` or ``grid``; see parse_graph."""
 
     sized: tuple[tuple[str, type], ...]  # (label, type) per field
     fixed: tuple[tuple[str, type], ...]
@@ -109,19 +91,12 @@ class GraphHead:
     param: Callable[..., str]            # (*values) -> CSV param column
 
 
-def _grid_side(n: int) -> int:
-    side = isqrt(n)
-    if side * side < n:
-        side += 1
-    return side
-
-
 # The builders are looked up by name when called, not stored, so a caller that
 # replaces a module attribute (e.g. to time it) reaches every graph build.
 _GRAPH_HEADS = {
     "er": GraphHead((("er node count", int),), (("er edge probability", float),), lambda n: (n,),
                     lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p)),
-    "grid": GraphHead((("rows", int), ("cols", int)), (), lambda n: (_grid_side(n),) * 2,
+    "grid": GraphHead((("rows", int), ("cols", int)), (), lambda n: (isqrt(n - 1) + 1,) * 2,
                       lambda r, c, seed: grid_graph(r, c), lambda r, c: f"{r}x{c}"),
     "clique": GraphHead((("clique size", int),), (), lambda n: (n,),
                         lambda d, seed: complete_graph(d), str),
@@ -134,13 +109,25 @@ _GRAPH_HEADS = {
 }
 
 
-def _parse_graph_head(spec: str, sized: bool) -> tuple[str, GraphHead, tuple]:
-    """Split spec into its head and the typed values of the fields it gives."""
+def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]:
+    """Resolve a graph spec to its head's name, the head and the typed values.
+
+    Without n, spec is in the single-run grammar, which gives the sized
+    fields and then the fixed ones: ``er:<n>,<p>`` | ``grid:<r>,<c>`` |
+    ``clique:<d>`` | ``cliquefam:<m>`` | ``path:<n>`` | ``file:<path>``.
+    With n, spec is in the experiment grammar, which gives the fixed fields
+    only: ``er:<p>`` | ``grid`` | ``clique`` | ``cliquefam`` | ``path`` |
+    ``file:<path>``; ``head.size(n)`` goes in front of them.  n is the node
+    count for er and path, the clique size, the family parameter m, or the
+    side of the smallest square grid with at least n nodes; a file ignores
+    it.  Either way the graph is ``head.build(*values, seed)``, its CSV
+    param column ``head.param(*values)``.
+    """
     name, sep, rest = spec.partition(":")
     head = _GRAPH_HEADS.get(name)
     if head is None:
         raise InvalidParameter(f"unknown graph {spec!r}")
-    fields = head.sized + head.fixed if sized else head.fixed
+    fields = head.sized + head.fixed if n is None else head.fixed
     texts = (rest.split(",") if len(fields) > 1 else [rest]) if sep else []
     if len(texts) != len(fields):
         labels = ",".join(label for label, _ in fields) or "no fields"
@@ -151,24 +138,7 @@ def _parse_graph_head(spec: str, sized: bool) -> tuple[str, GraphHead, tuple]:
             values.append(kind(text))
         except ValueError:
             raise InvalidParameter(f"{label} must be {kind.__name__}, got {text!r}") from None
-    return name, head, tuple(values)
-
-
-def parse_graph_family(spec: str) -> GraphFamily:
-    """Parse the n-parametric graph grammar used by experiments.
-
-    Grammar: ``er:<p>`` | ``grid`` | ``clique`` | ``cliquefam`` | ``path`` |
-    ``file:<path>``.  The experiment's n value supplies the size: node count
-    for er and path, clique size, family parameter m, or the side of the
-    smallest square grid with at least n nodes.  For ``file:`` the graph is
-    fixed and n is ignored.
-    """
-    name, head, fixed = _parse_graph_head(spec, sized=False)
-    return GraphFamily(
-        name,
-        lambda n, seed: head.build(*head.size(n), *fixed, seed),
-        lambda n: head.param(*head.size(n), *fixed),
-    )
+    return name, head, tuple(values) if n is None else head.size(n) + tuple(values)
 
 
 def _load_graph_file(path: str) -> Graph:
@@ -177,31 +147,27 @@ def _load_graph_file(path: str) -> Graph:
 
 
 def build_run_graph(spec: str, master_seed: int) -> Graph:
-    """Parse the fully instantiated graph grammar used by single runs.
-
-    Grammar: ``er:<n>,<p>`` | ``grid:<r>,<c>`` | ``clique:<d>`` |
-    ``cliquefam:<m>`` | ``path:<n>`` | ``file:<path>``.  Random families draw
-    from a sub-seed of the master seed.
-    """
-    _, head, values = _parse_graph_head(spec, sized=True)
+    """Build a single-run graph spec (see parse_graph); random families draw
+    from a sub-seed of the master seed."""
+    _, head, values = parse_graph(spec)
     return head.build(*values, graph_seed(master_seed))
 
 
 def run_trial(spec: ExperimentSpec, n: int, trial: int) -> list[TrialRecord]:
     """Execute one trial of an experiment; pure function of the arguments.
 
-    Each graph family's graph is built once and every policy runs on it.
+    Each graph spec's graph is built once and every policy runs on it.
     Records come back graph-major, then in policy order.
     """
     policies = [parse_policy(p) for p in spec.policies]
     trial_seed = stable_mix(spec.master_seed, n, trial)
     records = []
-    for family in map(parse_graph_family, spec.graphs):
-        g = family.build(n, graph_seed(trial_seed))
-        param = family.param(n)
+    for name, head, values in (parse_graph(graph, n) for graph in spec.graphs):
+        g = head.build(*values, graph_seed(trial_seed))
+        param = head.param(*values)
         for policy in policies:
             result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
-            records.append(record_from_run(policy.name, family.name, param, trial, trial_seed, result))
+            records.append(record_from_run(policy.name, name, param, trial, trial_seed, result))
     return records
 
 
@@ -224,19 +190,26 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
         if n < 1:
             raise InvalidParameter(f"n values must be >= 1, got {n}")
     for graph in spec.graphs:  # fail fast on bad grammar, before any trial runs
-        parse_graph_family(graph)
-    for policy in spec.policies:
-        parse_policy(policy)
+        parse_graph(graph, 1)
+    # Equal policy names or sizes would give identical rows under one identity.
+    names = [parse_policy(policy).name for policy in spec.policies]
+    for label, values in (("policy", names), ("n value", spec.n_values)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise InvalidParameter(f"{label} {repeated[0]} is given twice")
     tasks = [(spec, n, trial) for n in spec.n_values for trial in range(spec.trials)]
-    if jobs <= 1:
+    # A process pool forks all its workers at the first task, so start no
+    # more of them than there are tasks.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         per_trial = [run_trial(spec, n, trial) for _, n, trial in tasks]
     else:
         # Largest n first and small chunks, so the pool ends on its cheapest
         # trials and no worker idles long while the other finishes.
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-        chunk = max(1, len(tasks) // (jobs * 32))
+        chunk = max(1, len(tasks) // (workers * 32))
         per_trial = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(_run_trial_task, [tasks[i] for i in order], chunksize=chunk)
             for i, records in zip(order, done):
                 per_trial[i] = records
@@ -277,7 +250,7 @@ def _resolve_seed(arg_seed: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            raise InvalidParameter(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     return 0
 
 
@@ -449,9 +422,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BeepMISError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,12 @@ from .errors import InvalidParameter
 _MIN_PROBABILITY = 2.0 ** -64
 
 
+def _exact(x: float) -> str:
+    """x in %g form when that reads back as x, else as its round-trip repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 class LocalFeedback:
     """Each node adapts its own beep probability from what it heard.
 
@@ -50,7 +56,7 @@ class LocalFeedback:
     def name(self) -> str:
         if (self.factor, self.initial, self.cap) == (2.0, 0.5, 0.5):
             return "feedback"
-        return f"feedback:f={self.factor:g},init={self.initial:g},cap={self.cap:g}"
+        return f"feedback:f={_exact(self.factor)},init={_exact(self.initial)},cap={_exact(self.cap)}"
 
     def initial_state(self, node_count: int) -> np.ndarray:
         return np.full(node_count, self.initial)
@@ -131,17 +137,21 @@ class Constant(Schedule):
 
     @property
     def name(self) -> str:
-        return f"const:{self.probability:g}"
+        return f"const:{_exact(self.probability)}"
 
     def at(self, step: int) -> float:
         return self.probability
+
+
+_FEEDBACK_KEYS = {"f": "factor", "init": "initial", "cap": "cap"}
 
 
 def parse_policy(text: str):
     """Parse a policy selection string.
 
     Grammar: ``feedback`` | ``feedback:f=<float>,init=<float>,cap=<float>``
-    (keys optional, any subset) | ``sweep`` | ``const:<float>``.
+    (keys optional, any subset, each at most once) | ``sweep`` |
+    ``const:<float>``.
     """
     head, sep, rest = text.partition(":")
     if head == "feedback":
@@ -155,14 +165,11 @@ def parse_policy(text: str):
                     number = float(value)
                 except ValueError:
                     raise InvalidParameter(f"bad feedback value {value!r}") from None
-                if key == "f":
-                    kwargs["factor"] = number
-                elif key == "init":
-                    kwargs["initial"] = number
-                elif key == "cap":
-                    kwargs["cap"] = number
-                else:
+                if key not in _FEEDBACK_KEYS:
                     raise InvalidParameter(f"unknown feedback option {key!r}")
+                if _FEEDBACK_KEYS[key] in kwargs:
+                    raise InvalidParameter(f"feedback option {key!r} is given twice")
+                kwargs[_FEEDBACK_KEYS[key]] = number
         return LocalFeedback(**kwargs)
     if text == "sweep":
         return GlobalSweep()

@@ -15,13 +15,18 @@ from beepmis.cli import (
     ExperimentSpec,
     build_run_graph,
     main,
-    parse_graph_family,
+    parse_graph,
     run_experiment,
 )
-from beepmis.seeding import stable_mix
+from beepmis.seeding import graph_seed, stable_mix
 
 PATH3 = "3 2\n0 1\n1 2\n"
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
+
+
+def build_family(spec, n, seed=0):
+    _, head, values = parse_graph(spec, n)
+    return head.build(*values, seed)
 
 
 class TestGraphGrammar:
@@ -47,21 +52,46 @@ class TestGraphGrammar:
                 build_run_graph(bad, 0)
 
     def test_family_specs(self):
-        fam = parse_graph_family("er:0.5")
-        assert fam.name == "er" and fam.param(64) == "0.5"
-        g1 = fam.build(16, 1)
+        name, head, values = parse_graph("er:0.5", 64)
+        assert name == "er" and head.param(*values) == "0.5"
+        g1 = build_family("er:0.5", 16, 1)
         assert g1.node_count == 16
-        grid = parse_graph_family("grid")
-        assert grid.build(100, 0).node_count == 100
-        assert grid.build(128, 0).node_count == 144  # smallest square >= n
-        assert grid.param(128) == "12x12"
-        assert parse_graph_family("cliquefam").build(3, 0).node_count == 18
+        assert build_family("grid", 100).node_count == 100
+        assert build_family("grid", 128).node_count == 144  # smallest square >= n
+        _, grid, values = parse_graph("grid", 128)
+        assert grid.param(*values) == "12x12"
+        assert build_family("cliquefam", 3).node_count == 18
 
     def test_bad_family(self):
         with pytest.raises(InvalidParameter):
-            parse_graph_family("er")
+            parse_graph("er", 16)
         with pytest.raises(InvalidParameter):
-            parse_graph_family("grid:2,3")
+            parse_graph("grid:2,3", 16)
+
+    def test_grid_side_is_ceiling_square_root(self):
+        for n in range(1, 300):
+            side = parse_graph("grid", n)[2][0]
+            assert (side - 1) ** 2 < n <= side ** 2
+
+    @pytest.mark.parametrize("family, n, run_spec", [
+        ("er:0.5", 16, "er:16,0.5"),
+        ("grid", 128, "grid:12,12"),
+        ("clique", 5, "clique:5"),
+        ("cliquefam", 3, "cliquefam:3"),
+        ("path", 7, "path:7"),
+        ("file:{p}", 99, "file:{p}"),
+    ])
+    def test_grammars_agree(self, family, n, run_spec, tmp_path):
+        # an experiment spec at n is the run spec with its sized fields written out
+        p = tmp_path / "g.el"
+        p.write_text(TRIANGLE)
+        family, run_spec = family.format(p=p), run_spec.format(p=p)
+        name, head, values = parse_graph(family, n)
+        run_name, run_head, run_values = parse_graph(run_spec)
+        assert (run_name, run_head, run_values) == (name, head, values)
+        assert head.build(*values, 5) == run_head.build(*run_values, 5)
+        assert build_run_graph(run_spec, 3) == head.build(*values, graph_seed(3))
+        assert head.param(*values) == run_head.param(*run_values)
 
 
 class TestCmdRun:
@@ -244,6 +274,33 @@ class TestExperiment:
                      "--n", "16", "--trials", "0", "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    def test_pool_starts_one_worker_per_task_at_most(self, tmp_path, monkeypatch, capsys):
+        # the executor forks max_workers processes at once, so two trials get two
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
+                "--n", "8", "--trials", "2", "--seed", "3"]
+        assert main(argv + ["--output", str(a), "--jobs", "16"]) == EXIT_OK
+        assert started == [2]
+        assert main(argv + ["--output", str(b), "--jobs", "1"]) == EXIT_OK
+        assert started == [2]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unwritable_output(self, capsys):
         code = main(["experiment", "--graph", "path", "--policy", "sweep",
                      "--n", "4", "--trials", "1", "--output", "/no/such/dir/out.csv"])
@@ -325,6 +382,32 @@ class TestLowerbound:
             outputs.append((stdout, out.read_bytes()))
         assert "m=2 const:0.5/feedback mean-rounds ratio=" in outputs[0][0]
         assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "2", "--policies", "const:0.5", "const:0.50"],  # one name, const:0.5
+        ["--m", "2", "--policies", "feedback", "feedback:f=2"],
+        ["--m", "2", "2"],
+    ])
+    def test_repeated_policy_or_size_fails_before_any_trial(self, args, tmp_path, monkeypatch, capsys):
+        # equal names or sizes would merge two groups into one, or write every row twice
+        runs = count_calls(monkeypatch, engine, "run")
+        out = tmp_path / "lb.csv"
+        code = main(["lowerbound", *args, "--trials", "2", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "given twice" in capsys.readouterr().err
+        assert len(runs) == 0
+        assert not out.exists()
+
+    def test_close_constants_keep_apart(self, tmp_path, capsys):
+        out = tmp_path / "lb.csv"
+        code = main(["lowerbound", "--m", "2", "--policies", "const:0.1234567", "const:0.1234568",
+                     "--trials", "2", "--output", str(out)])
+        assert code == EXIT_OK
+        records = read_records(str(out))
+        assert [r.policy for r in records] == ["const:0.1234567"] * 2 + ["const:0.1234568"] * 2
+        printed = capsys.readouterr().out
+        assert printed.count(" trials=2 ") == 2 and " trials=4 " not in printed
+        assert "m=2 const:0.1234568/const:0.1234567 mean-rounds ratio=" in printed
 
     def test_trivial_single_node_family(self, tmp_path, capsys):
         out = tmp_path / "lb.csv"

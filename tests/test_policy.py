@@ -217,3 +217,34 @@ class TestParsePolicy:
         for bad in ("bogus", "const:", "const:x", "feedback:f", "feedback:q=2", "const:0.0"):
             with pytest.raises(InvalidParameter):
                 parse_policy(bad)
+
+    def test_rejects_repeated_feedback_key(self):
+        # a repeated key used to let the last value win silently
+        for bad in ("feedback:f=2,f=3", "feedback:cap=0.4,init=0.2,cap=0.3"):
+            with pytest.raises(InvalidParameter, match="given twice"):
+                parse_policy(bad)
+
+
+class TestPolicyNames:
+    def test_names_in_use_unchanged(self):
+        for text, name in (("const:0.5", "const:0.5"), ("const:0.50", "const:0.5"),
+                           ("const:1.0", "const:1"), ("feedback:f=2,init=0.5", "feedback"),
+                           ("feedback:f=3,init=0.3,cap=0.4", "feedback:f=3,init=0.3,cap=0.4")):
+            assert parse_policy(text).name == name
+
+    def test_names_are_exact(self):
+        # six significant digits would make both of these const:0.123457
+        assert parse_policy("const:0.1234567").name == "const:0.1234567"
+        assert parse_policy("const:0.1234568").name == "const:0.1234568"
+        assert parse_policy("feedback:f=2.0000001").name == "feedback:f=2.0000001,init=0.5,cap=0.5"
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_const_name_reads_back(self, p):
+        assert parse_policy(Constant(p).name).probability == p
+
+    @given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+           st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    def test_feedback_name_reads_back(self, factor, initial):
+        policy = LocalFeedback(factor, initial, 0.5)
+        again = parse_policy(policy.name)
+        assert (again.factor, again.initial, again.cap) == (factor, initial, 0.5)
