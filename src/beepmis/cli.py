@@ -180,40 +180,38 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     """Run trials x |n_values| trials of every (graph family, policy) pair.
 
     Rows come back graph-major, then policy-major, then sorted by (n,
-    trial).  Trials may execute in parallel; the sort (stable, so families
-    that map several requested sizes to one node count keep spec order)
-    makes the result independent of scheduling.
+    trial), so the result does not depend on how trials were scheduled.
     """
     if spec.trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {spec.trials}")
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     for n in spec.n_values:
         if n < 1:
             raise InvalidParameter(f"n values must be >= 1, got {n}")
-    for graph in spec.graphs:  # fail fast on bad grammar, before any trial runs
-        parse_graph(graph, 1)
-    # Equal policy names or sizes would give identical rows under one identity.
+    # (policy, graph, n, trial) names one row, so every policy name, graph
+    # head and (graph, n) cell, written in the single-run grammar, is given once.
+    resolved = [parse_graph(graph, n) for graph in spec.graphs for n in spec.n_values]
+    cells = [f"{name}:{','.join(map(str, values))}" for name, _, values in resolved]
+    heads = [graph.partition(":")[0] for graph in spec.graphs]
     names = [parse_policy(policy).name for policy in spec.policies]
-    for label, values in (("policy", names), ("n value", spec.n_values)):
+    for label, values in (("policy", names), ("graph", heads), ("graph", cells)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise InvalidParameter(f"{label} {repeated[0]} is given twice")
-    tasks = [(spec, n, trial) for n in spec.n_values for trial in range(spec.trials)]
-    # A process pool forks all its workers at the first task, so start no
-    # more of them than there are tasks.
+    # Largest n first, so a pool ends on its cheapest trials and no worker
+    # idles long while another finishes; a pool forks all its workers at the
+    # first task, so it starts no more of them than there are tasks.
+    tasks = [(spec, n, trial) for n in sorted(spec.n_values, reverse=True) for trial in range(spec.trials)]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        per_trial = [run_trial(spec, n, trial) for _, n, trial in tasks]
+        per_trial = list(map(_run_trial_task, tasks))
     else:
-        # Largest n first and small chunks, so the pool ends on its cheapest
-        # trials and no worker idles long while the other finishes.
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
         chunk = max(1, len(tasks) // (workers * 32))
-        per_trial = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_run_trial_task, [tasks[i] for i in order], chunksize=chunk)
-            for i, records in zip(order, done):
-                per_trial[i] = records
-    # Column k of per_trial holds every trial of the k-th (graph, policy) pair.
+            per_trial = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
+    # Column k of per_trial holds every trial of the k-th (graph, policy) pair;
+    # each head's node count is one-to-one in its cell, so (n, trial) is unique there.
     return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]
 
 

@@ -246,21 +246,48 @@ class TestExperiment:
         assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
+        # the pool runs large n first; rows come back sorted by n whatever the spec order
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
-                "--n", "16", "32", "--trials", "4", "--seed", "2"]
-        main(argv + ["--output", str(a), "--jobs", "1"])
-        main(argv + ["--output", str(b), "--jobs", "2"])
-        assert a.read_bytes() == b.read_bytes()
+        for sizes in (["16", "32"], ["32", "8", "16"]):
+            argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
+                    "--n", *sizes, "--trials", "4", "--seed", "2"]
+            main(argv + ["--output", str(a), "--jobs", "1"])
+            main(argv + ["--output", str(b), "--jobs", "2"])
+            assert a.read_bytes() == b.read_bytes()
+            assert [r.n for r in read_records(str(a))][::4] == sorted(map(int, sizes))
 
-    def test_jobs_keep_spec_order_of_equal_sizes(self, tmp_path, capsys):
-        # the pool runs large n first; 10, 16 and 12 all map to a 4x4 grid
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["experiment", "--graph", "grid", "--policy", "feedback",
-                "--n", "10", "16", "12", "--trials", "3", "--seed", "5"]
-        main(argv + ["--output", str(a), "--jobs", "1"])
-        main(argv + ["--output", str(b), "--jobs", "2"])
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("case", [
+        ["--graph", "grid", "--n", "10", "16", "12"],  # three sizes, one 4x4 grid
+        ["--graph", "file:{path}", "--n", "5", "6"],  # a file ignores n
+        ExperimentSpec("feedback", ("er:0.5", "er:0.9"), (8,), 2, 1),  # one head
+        ExperimentSpec("feedback", ("er:0.5", "er:0.50"), (8,), 2, 1),  # one head and one cell, er:8,0.5
+    ], ids=["grid-sizes", "file-sizes", "er-heads", "er-cells"])
+    def test_colliding_graphs_fail_before_any_trial(self, case, tmp_path, monkeypatch, capsys):
+        # two graphs under one (policy, graph, n, trial) identity would merge their rows
+        runs = count_calls(monkeypatch, engine, "run")
+        out = tmp_path / "x.csv"
+        if isinstance(case, ExperimentSpec):
+            with pytest.raises(InvalidParameter, match="given twice"):
+                run_experiment(case)
+        else:
+            (tmp_path / "g.el").write_text(PATH3)
+            argv = ["experiment", *(a.format(path=tmp_path / "g.el") for a in case),
+                    "--policy", "feedback", "--trials", "2", "--output", str(out)]
+            assert main(argv) == EXIT_USAGE
+            assert "given twice" in capsys.readouterr().err
+        assert len(runs) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fail_before_any_trial(self, jobs, tmp_path, monkeypatch, capsys):
+        runs = count_calls(monkeypatch, engine, "run")
+        out = tmp_path / "x.csv"
+        code = main(["experiment", "--graph", "path", "--policy", "sweep", "--n", "4",
+                     "--trials", "1", "--jobs", jobs, "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert len(runs) == 0
+        assert not out.exists()
 
     def test_trial_seeds_follow_stable_mix(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"

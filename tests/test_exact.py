@@ -15,9 +15,10 @@ E[R] = Σ_t (1 - ∏_d (1 - S_d(t))^m).
 import numpy as np
 import pytest
 
-from beepmis import GlobalSweep
+from beepmis import GlobalSweep, LocalFeedback, clique_family, run
 from beepmis.cli import ExperimentSpec, run_experiment
 from beepmis.metrics import summarize
+from beepmis.seeding import stable_mix
 
 LEVELS = 64
 HORIZON = 2000  # rounds summed; every tail below is checked to be < 1e-12
@@ -97,4 +98,22 @@ def test_simulated_family_means_match_exact_law():
                               "rounds")
             assert stats.count == TRIALS
             z[policy, m] = (stats.mean - family_mean_rounds(policy, m)) / (stats.stddev / TRIALS ** 0.5)
+    assert all(abs(score) <= Z_BOUND for score in z.values()), z
+
+
+def test_round_one_join_law():
+    # Every node starts at 1/2, so a K_d block has a round-1 joiner (a solo
+    # beep) with probability d·2^-d; 500 runs on clique_family(8) give 4,000
+    # blocks per d.
+    m, runs = 8, 500
+    block_size = np.repeat(np.arange(1, m + 1), m * np.arange(1, m + 1))  # per node
+    joins = np.zeros(m + 1, dtype=int)
+    g = clique_family(m)
+    for s in range(runs):
+        result = run(g, LocalFeedback(), stable_mix(MASTER_SEED, m, s), keep_trace=True)
+        joins += np.bincount(block_size[list(result.trace[0].joined_mis)], minlength=m + 1)
+    z = {}
+    for d in range(1, m + 1):
+        blocks, p = m * runs, d * 2.0 ** -d
+        z[d] = (joins[d] - blocks * p) / (blocks * p * (1 - p)) ** 0.5
     assert all(abs(score) <= Z_BOUND for score in z.values()), z
