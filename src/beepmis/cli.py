@@ -182,13 +182,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     Rows come back graph-major, then policy-major, then sorted by (n,
     trial), so the result does not depend on how trials were scheduled.
     """
-    if spec.trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {spec.trials}")
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
-    for n in spec.n_values:
-        if n < 1:
-            raise InvalidParameter(f"n values must be >= 1, got {n}")
+    # Every count is checked before any graph is resolved or built.
+    for label in ("policies", "graphs", "n_values"):
+        if not getattr(spec, label):
+            raise InvalidParameter(f"{label} must not be empty")
+    counts = [("trials", spec.trials), ("jobs", jobs), ("max_rounds", spec.max_rounds)]
+    for label, value in counts + [("n values", n) for n in spec.n_values]:
+        if value is not None and value < 1:
+            raise InvalidParameter(f"{label} must be >= 1, got {value}")
     # (policy, graph, n, trial) names one row, so every policy name, graph
     # head and (graph, n) cell, written in the single-run grammar, is given once.
     resolved = [parse_graph(graph, n) for graph in spec.graphs for n in spec.n_values]

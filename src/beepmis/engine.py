@@ -12,7 +12,7 @@ very stream of ``random.Random(seed)`` (see :func:`_batched_draws`).
 
 Node state is held in numpy arrays over the graph's CSR rows.  The heard
 test needs an answer for the beepers under a schedule (the join test) and
-for every active node under a per-node policy (the feedback update).  It
+for every active node under local feedback (its adjustment).  It
 either marks the beepers' whole rows (top-down) or lets each node that needs
 an answer read a window at the start of its own row, and the rest of the row
 only when the window held no beeper (bottom-up), whichever reads fewer
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graph import Graph
+from .policy import LocalFeedback
 from .seeding import MASK64
 
 
@@ -194,17 +195,16 @@ def _round(state: _State, graph: Graph,
     pstate = state.policy_state
     active = state.active
 
-    p_uniform = policy.uniform_probability(pstate)
-    per_node = p_uniform is None
-    p = policy.beep_probability(pstate, active) if per_node else p_uniform
+    per_node = isinstance(policy, LocalFeedback)
+    p = pstate[active] if per_node else policy.uniform_probability(pstate)
     # One draw per active node in ascending node order, the stream a per-node
     # loop would draw.
     beeps = draw(active.size) < p
     beeped = active[beeps]
     state.beep_counts[beeped] += 1
 
-    # A schedule reads heard only for the join test, a per-node policy for
-    # every active node's update.
+    # A schedule reads heard only for the join test, local feedback for
+    # every active node's adjustment.
     heard = _heard(graph, beeped, active if per_node else beeped)
     # A beeper joins exactly when none of its neighbours beeped this round.
     joined = beeped[~(heard[beeps] if per_node else heard)]
@@ -225,9 +225,9 @@ def _round(state: _State, graph: Graph,
     else:
         dropped = joined  # nobody joined, so nobody is dropped
 
-    # Survivors only: nodes deactivated this round receive no policy update.
+    # Survivors only: nodes deactivated this round keep their probability.
     if per_node:
-        policy.update(pstate, active[heard], active[~heard])
+        pstate[active] = policy.adjust(pstate[active], heard)
     else:
         policy.end_round(pstate)
     state.round += 1

@@ -1,13 +1,12 @@
-"""Beep-probability policies: per-node local feedback, global sweep, constant.
+"""Beep-probability policies: the local feedback rule and global schedules.
 
-A policy owns all per-run probability state, made by ``initial_state``.  Each
-round the engine first calls ``uniform_probability(state)``.  A
-node-independent policy returns the probability every active node beeps with
-this round, and afterwards receives ``end_round(state)``.  A per-node policy
-returns None; the engine then asks ``beep_probability(state, nodes)`` once
-for the array of active nodes, and afterwards calls
-``update(state, heard, silent)`` with the index arrays of the surviving
-nodes that heard at least one beep and of those that heard silence.
+A policy makes all per-run probability state with ``initial_state``.  A
+schedule (global sweep, constant) is node-independent: each round the engine
+asks ``uniform_probability(state)`` for the probability every active node
+beeps with, and afterwards calls ``end_round(state)``.  Local feedback is a
+rule, not a protocol: its state is the array of per-node probabilities, which
+the engine indexes itself, and after each round ``adjust(p, heard)`` gives
+the surviving nodes' next probabilities from whether each heard a beep.
 """
 
 from __future__ import annotations
@@ -61,17 +60,10 @@ class LocalFeedback:
     def initial_state(self, node_count: int) -> np.ndarray:
         return np.full(node_count, self.initial)
 
-    def uniform_probability(self, state: np.ndarray) -> None:
-        return None
-
-    def beep_probability(self, state: np.ndarray, nodes):
-        """Probability of one node, or the array of probabilities of an index array."""
-        return state[nodes]
-
-    def update(self, state: np.ndarray, heard, silent) -> None:
-        """Apply the feedback rule to the still-active nodes after a round."""
-        state[heard] = np.maximum(state[heard] / self.factor, _MIN_PROBABILITY)
-        state[silent] = np.minimum(state[silent] * self.factor, self.cap)
+    def adjust(self, p: np.ndarray, heard: np.ndarray) -> np.ndarray:
+        """Next probabilities of the nodes at ``p``; ``heard`` flags who heard a beep."""
+        return np.where(heard, np.maximum(p / self.factor, _MIN_PROBABILITY),
+                        np.minimum(p * self.factor, self.cap))
 
 
 def sweep_phase_position(step: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ import pytest
 import beepmis.cli as cli
 import beepmis.graph
 import beepmis.engine as engine
-from beepmis import InvalidParameter, read_records
+from beepmis import InvalidParameter, VerifyReport, read_records
 from beepmis.cli import (
     EXIT_NOT_TERMINATED,
     EXIT_OK,
@@ -21,6 +21,9 @@ from beepmis.cli import (
 from beepmis.seeding import graph_seed, stable_mix
 
 PATH3 = "3 2\n0 1\n1 2\n"
+# Every graph builder the grammar's heads call through the cli module.
+GRAPH_BUILDERS = ("erdos_renyi", "grid_graph", "complete_graph", "clique_family", "path_graph",
+                  "_load_graph_file")
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
 
 
@@ -127,6 +130,13 @@ class TestCmdRun:
         assert "mis=" in out
         assert "round 1:" in out
 
+    def test_verification_failure_exit_code(self, monkeypatch, capsys):
+        # the engine's sets always pass, so a failing check is forced
+        monkeypatch.setattr(cli, "check_mis", lambda g, mis: VerifyReport(False, True, (0, 1)))
+        code = main(["run", "--graph", "path:3", "--policy", "sweep", "--seed", "1"])
+        assert code == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out.splitlines()[-1] == "witness: edge (0,1)"
+
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["run", "--graph", "path:3", "--policy", "bogus"]) == EXIT_USAGE
 
@@ -189,6 +199,10 @@ class TestCmdVerify:
     def test_valid_set(self, tmp_path, capsys):
         g, s = self.write(tmp_path, PATH3, [1])
         assert main(["verify", g, s]) == EXIT_OK
+        with open(s, "w") as f:
+            f.write("\n1\n  \n\n")  # blank lines are skipped
+        assert main(["verify", g, s]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "ok: independent maximal set of size 1"
 
     def test_not_maximal(self, tmp_path, capsys):
         g, s = self.write(tmp_path, PATH3, [0])
@@ -275,6 +289,28 @@ class TestExperiment:
                     "--policy", "feedback", "--trials", "2", "--output", str(out)]
             assert main(argv) == EXIT_USAGE
             assert "given twice" in capsys.readouterr().err
+        assert len(runs) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        (["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "64", "--trials", "3",
+          "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
+        (["lowerbound", "--m", "0", "--trials", "2"], "n values must be >= 1, got 0"),
+        (ExperimentSpec((), "er:0.5", (8,), 2, 1), "policies must not be empty"),
+        (ExperimentSpec("feedback", (), (8,), 2, 1), "graphs must not be empty"),
+        (ExperimentSpec("feedback", "bogus", (), 2, 1), "n_values must not be empty"),
+    ], ids=["max-rounds", "lowerbound-m", "no-policies", "no-graphs", "no-sizes"])
+    def test_bad_batch_fails_before_any_build(self, case, message, tmp_path, monkeypatch, capsys):
+        builds = [count_calls(monkeypatch, cli, builder) for builder in GRAPH_BUILDERS]
+        runs = count_calls(monkeypatch, engine, "run")
+        out = tmp_path / "x.csv"
+        if isinstance(case, ExperimentSpec):
+            with pytest.raises(InvalidParameter, match=message):
+                run_experiment(case)
+        else:
+            assert main([*case, "--output", str(out)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+        assert sum(map(len, builds)) == 0
         assert len(runs) == 0
         assert not out.exists()
 

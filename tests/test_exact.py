@@ -9,8 +9,12 @@ max(k-1, 1); anything else moves to min(k+1, 64).  Under a global schedule
 p_s, K_d survives t rounds with probability ∏_{s<=t} (1 - d·p_s(1-p_s)^(d-1)).
 ``clique_family(m)`` is m independent copies of K_d for each d = 1..m, so with
 S_d(t) the survival of one K_d, P(R <= t) = ∏_d (1 - S_d(t))^m and
-E[R] = Σ_t (1 - ∏_d (1 - S_d(t))^m).
+E[R] = Σ_t (1 - ∏_d (1 - S_d(t))^m).  All nodes of a K_d are active exactly
+while it survives, so the expected active count at the start of round t + 1
+is E[A_t] = m·Σ_d d·S_d(t).
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,8 +32,12 @@ HORIZON = 2000  # rounds summed; every tail below is checked to be < 1e-12
 MASTER_SEED = 20240802
 TRIALS = 1000
 Z_BOUND = 4.5
+# Asymptotic Kolmogorov-Smirnov critical value of sqrt(N)·D at alpha = 0.001;
+# conservative for a discrete law.
+KS_BOUND = 1.95
 
 
+@lru_cache(maxsize=None)
 def feedback_survival(d: int) -> np.ndarray:
     """S_d(t), t = 0..HORIZON, for K_d under default feedback."""
     q = 2.0 ** -np.arange(1, LEVELS + 1)
@@ -62,14 +70,40 @@ def schedule_survival(policy, d: int) -> np.ndarray:
 
 
 SURVIVAL = {"feedback": feedback_survival,
-            "sweep": lambda d: schedule_survival(GlobalSweep(), d)}
+            "sweep": lru_cache(maxsize=None)(lambda d: schedule_survival(GlobalSweep(), d))}
+
+
+def family_done(policy: str, m: int) -> np.ndarray:
+    """P(R <= t), t = 0..HORIZON, on clique_family(m)."""
+    done = np.prod([(1 - SURVIVAL[policy](d)) ** m for d in range(1, m + 1)], axis=0)
+    assert 1 - done[-1] < 1e-12
+    return done
 
 
 def family_mean_rounds(policy: str, m: int) -> float:
     """E[R] on clique_family(m)."""
-    done = np.prod([(1 - SURVIVAL[policy](d)) ** m for d in range(1, m + 1)], axis=0)
-    assert 1 - done[-1] < 1e-12
-    return float(np.sum(1 - done))
+    return float(np.sum(1 - family_done(policy, m)))
+
+
+def simulate(m_values, trials):
+    """{(policy, m): records of the simulated trials} at the master seed."""
+    spec = ExperimentSpec(("feedback", "sweep"), "cliquefam", m_values, trials, MASTER_SEED)
+    records = run_experiment(spec)
+    assert all(r.terminated for r in records)
+    return {(policy, m): [r for r in records if r.policy == policy and r.param == str(m)]
+            for policy in spec.policies for m in m_values}
+
+
+def mean_z(records, policy: str, m: int) -> float:
+    """z-score of the simulated mean rounds against the exact E[R]."""
+    stats = summarize(records, "rounds")
+    return (stats.mean - family_mean_rounds(policy, m)) / (stats.stddev / stats.count ** 0.5)
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    """TRIALS simulated runs per (policy, m), m = 4, 6; made once for the module."""
+    return simulate((4, 6), TRIALS)
 
 
 def test_k2_chain_matches_criterion_5_oracle():
@@ -86,18 +120,25 @@ def test_exact_family_means(policy, m, mean):
     assert family_mean_rounds(policy, m) == pytest.approx(mean, abs=5e-5)
 
 
-def test_simulated_family_means_match_exact_law():
-    m_values = (4, 6)
-    spec = ExperimentSpec(("feedback", "sweep"), "cliquefam", m_values, TRIALS, MASTER_SEED)
-    records = run_experiment(spec)
-    assert all(r.terminated for r in records)
-    z = {}
-    for policy in ("feedback", "sweep"):
-        for m in m_values:
-            stats = summarize([r for r in records if r.policy == policy and r.param == str(m)],
-                              "rounds")
-            assert stats.count == TRIALS
-            z[policy, m] = (stats.mean - family_mean_rounds(policy, m)) / (stats.stddev / TRIALS ** 0.5)
+def test_simulated_family_means_match_exact_law(simulated):
+    assert all(len(records) == TRIALS for records in simulated.values())
+    z = {key: mean_z(records, *key) for key, records in simulated.items()}
+    assert all(abs(score) <= Z_BOUND for score in z.values()), z
+
+
+def test_simulated_round_law_matches_exact_law(simulated):
+    # Kolmogorov-Smirnov over the whole law: sqrt(N)·max_t |F_sim(t) - P(R <= t)|
+    scores = {}
+    for (policy, m), records in simulated.items():
+        rounds = np.array([r.rounds for r in records])
+        empirical = np.searchsorted(np.sort(rounds), np.arange(HORIZON + 1), side="right") / rounds.size
+        scores[policy, m] = rounds.size ** 0.5 * np.abs(empirical - family_done(policy, m)).max()
+    assert all(score <= KS_BOUND for score in scores.values()), scores
+
+
+@pytest.mark.parametrize("m, trials", [(10, 300), (16, 200)])
+def test_simulated_means_at_larger_m(m, trials):
+    z = {key: mean_z(records, *key) for key, records in simulate((m,), trials).items()}
     assert all(abs(score) <= Z_BOUND for score in z.values()), z
 
 
@@ -117,3 +158,28 @@ def test_round_one_join_law():
         blocks, p = m * runs, d * 2.0 ** -d
         z[d] = (joins[d] - blocks * p) / (blocks * p * (1 - p)) ** 0.5
     assert all(abs(score) <= Z_BOUND for score in z.values()), z
+
+
+@pytest.mark.parametrize("policy", ["feedback", "sweep"])
+def test_active_count_curve(policy):
+    # The mean active count at the start of each round t against E[A_t]; the
+    # count is n less the nodes deactivated in earlier rounds.
+    m, runs, horizon = 6, 300, 20
+    g = clique_family(m)
+    rule = LocalFeedback() if policy == "feedback" else GlobalSweep()
+    active = np.empty((runs, horizon))
+    for s in range(runs):
+        result = run(g, rule, stable_mix(MASTER_SEED, m, s), keep_trace=True)
+        assert result.terminated
+        left = g.node_count - np.cumsum([0] + [len(o.newly_inactive) for o in result.trace])
+        active[s] = left[np.minimum(np.arange(horizon), result.rounds)]
+    exact = m * sum(d * SURVIVAL[policy](d)[:horizon] for d in range(1, m + 1))
+    assert exact[0] == g.node_count
+    mean, sd = active.mean(axis=0), active.std(axis=0, ddof=1)
+    spread = sd > 0
+    z = (mean[spread] - exact[spread]) / (sd[spread] / runs ** 0.5)
+    assert np.abs(z).max() <= Z_BOUND, dict(zip(np.flatnonzero(spread), z))
+    if policy == "sweep":
+        # round 3 has p = 1: every clique of two or more nodes collides, so
+        # the curve stalls, the stall behind the lower bound
+        assert exact[3] == exact[2]

@@ -150,6 +150,8 @@ class TestGridGraph:
             grid_graph(0, 3)
         with pytest.raises(InvalidParameter):
             grid_graph(3, 0)
+        with pytest.raises(InvalidParameter):
+            path_graph(0)  # the 1 x n grid
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_edge_formula(self, rows, cols):
@@ -177,6 +179,11 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameter):
             Graph(3, [(0, 3)])
+        with pytest.raises(InvalidParameter):
+            Graph(-1)
+        for v in (3, -1):
+            with pytest.raises(InvalidParameter):
+                path_graph(3).neighbours(v)
 
     def test_masks_match_adjacency(self):
         g = Graph(5, [(0, 1), (0, 4), (2, 3)])
@@ -260,9 +267,10 @@ class TestEdgeListFormat:
             parse_edge_list("2 1\n0 2")
 
     def test_parse_rejects_bad_header(self):
-        with pytest.raises(ParseError) as exc:
-            parse_edge_list("nope")
-        assert exc.value.line == 1
+        for header in ("nope", "a b", "-1 0"):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_list(header)
+            assert exc.value.line == 1
 
     def test_parse_rejects_wrong_edge_count(self):
         with pytest.raises(ParseError):
@@ -271,9 +279,10 @@ class TestEdgeListFormat:
             parse_edge_list("3 1\n0 1\n1 2")
 
     def test_parse_rejects_junk_line(self):
-        with pytest.raises(ParseError) as exc:
-            parse_edge_list("3 2\n0 1\n1 2 3")
-        assert exc.value.line == 3
+        for line in ("1 2 3", "0 x"):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_list(f"3 2\n0 1\n{line}")
+            assert exc.value.line == 3
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ParseError):

@@ -1,14 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from beepmis import (
     Constant,
     GlobalSweep,
+    Graph,
     InvalidParameter,
     LocalFeedback,
+    engine,
     parse_policy,
     sweep_phase_position,
 )
+
+from conftest import BEEP, SILENT, scripted_round
 
 
 def sweep_schedule_oracle(steps):
@@ -90,33 +95,38 @@ class TestGlobalSweep:
             sweep_phase_position(0)
 
 
+def scalar_rule(p, heard, factor, cap):
+    """The feedback rule on one probability, in Python floats."""
+    return max(p / factor, 2.0 ** -64) if heard else min(p * factor, cap)
+
+
 class TestLocalFeedback:
     def test_fresh_probability_is_half(self):
         policy = LocalFeedback()
         state = policy.initial_state(5)
-        assert all(policy.beep_probability(state, v) == 0.5 for v in range(5))
+        assert all(state[v] == 0.5 for v in range(5))
         assert state.tolist() == [0.5] * 5
 
     def test_floor_at_one(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        policy.update(state, heard=[], silent=[0])
+        state = policy.adjust(state, np.array([False]))
         assert state[0] == 0.5
 
     def test_heard_increments(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
-        policy.update(state, heard=[0], silent=[])
+        state = policy.adjust(state, np.array([True]))
         assert state[0] == 0.25
-        assert policy.beep_probability(state, 0) == 0.25
+        assert state.tolist() == [0.25]
 
     def test_silence_decrements(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
         state[0] = 0.125
-        policy.update(state, heard=[], silent=[0])
+        state = policy.adjust(state, np.array([False]))
         assert state[0] == 0.25
-        assert policy.beep_probability(state, 0) == 0.25
+        assert state.tolist() == [0.25]
 
     @given(st.lists(st.booleans(), max_size=60))
     def test_exponent_trajectory(self, heard_sequence):
@@ -126,45 +136,61 @@ class TestLocalFeedback:
         state = policy.initial_state(1)
         e = 1
         for heard in heard_sequence:
-            policy.update(state, heard=[0] if heard else [], silent=[] if heard else [0])
+            state = policy.adjust(state, np.array([heard]))
             e = e + 1 if heard else max(e - 1, 1)
-            p = policy.beep_probability(state, 0)
-            assert p == state[0] == 2.0 ** -e
-            assert 0.0 < p <= 0.5
+            assert state[0] == 2.0 ** -e
+            assert 0.0 < state[0] <= 0.5
 
     def test_default_floor(self):
         policy = LocalFeedback()
         state = policy.initial_state(1)
         for _ in range(100):
-            policy.update(state, heard=[0], silent=[])
+            state = policy.adjust(state, np.array([True]))
         assert state[0] == 2.0 ** -64
-        policy.update(state, heard=[], silent=[0])
+        state = policy.adjust(state, np.array([False]))
         assert state[0] == 2.0 ** -63
 
-    def test_update_touches_only_listed_nodes(self):
-        policy = LocalFeedback()
-        state = policy.initial_state(3)
-        state[2] = 0.125
-        policy.update(state, heard=[0], silent=[2])
-        assert state.tolist() == [0.25, 0.5, 0.25]
+    def test_round_adjusts_only_survivors(self):
+        # K_2 on {0, 1} collides, 2 joins alone and drops its neighbour 3, 4
+        # is silent: the colliders halve, 4 doubles, 2 and 3 keep theirs
+        g = Graph(5, [(0, 1), (2, 3)])
+        state = engine._new_state(g, LocalFeedback())
+        state.policy_state[[3, 4]] = 0.125
+        scripted_round(state, g, [BEEP, BEEP, BEEP, SILENT, SILENT])
+        assert state.active.tolist() == [0, 1, 4]
+        assert state.policy_state.tolist() == [0.25, 0.25, 0.5, 0.125, 0.25]
 
     def test_generalized_factor(self):
         policy = LocalFeedback(factor=3.0, initial=0.3, cap=0.4)
         state = policy.initial_state(1)
-        assert policy.beep_probability(state, 0) == 0.3
-        policy.update(state, heard=[0], silent=[])
-        assert policy.beep_probability(state, 0) == pytest.approx(0.1)
-        policy.update(state, heard=[], silent=[0])
-        assert policy.beep_probability(state, 0) == pytest.approx(0.3)
-        policy.update(state, heard=[], silent=[0])
-        assert policy.beep_probability(state, 0) == 0.4  # capped
+        assert state[0] == 0.3
+        state = policy.adjust(state, np.array([True]))
+        assert state[0] == pytest.approx(0.1)
+        state = policy.adjust(state, np.array([False]))
+        assert state[0] == pytest.approx(0.3)
+        state = policy.adjust(state, np.array([False]))
+        assert state[0] == 0.4  # capped
 
     def test_generalized_floor(self):
         policy = LocalFeedback(factor=4.0, initial=0.25, cap=0.5)
         state = policy.initial_state(1)
         for _ in range(100):
-            policy.update(state, heard=[0], silent=[])
-        assert policy.beep_probability(state, 0) >= 2.0**-64
+            state = policy.adjust(state, np.array([True]))
+        assert state[0] >= 2.0**-64
+
+    @given(st.data(), st.floats(min_value=1.0, exclude_min=True, allow_nan=False),
+           st.floats(min_value=2.0 ** -64, max_value=1.0, exclude_max=True))
+    def test_adjust_equals_scalar_rule(self, data, factor, cap):
+        # bit for bit: each element goes through the same two IEEE operations
+        size = data.draw(st.integers(min_value=0, max_value=20))
+        p = data.draw(st.lists(st.floats(min_value=2.0 ** -64, max_value=cap),
+                               min_size=size, max_size=size))
+        heard = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        p_array = np.array(p, dtype=float)
+        got = LocalFeedback(factor, cap, cap).adjust(p_array, np.array(heard, dtype=bool))
+        want = [scalar_rule(x, h, factor, cap) for x, h in zip(p, heard)]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert p_array.tolist() == p  # pure: the input is left as it was
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParameter):
@@ -214,7 +240,8 @@ class TestParsePolicy:
         assert policy.name == "const:0.3"
 
     def test_rejects_unknown(self):
-        for bad in ("bogus", "const:", "const:x", "feedback:f", "feedback:q=2", "const:0.0"):
+        for bad in ("bogus", "const:", "const:x", "feedback:f", "feedback:q=2", "feedback:f=x",
+                    "const:0.0"):
             with pytest.raises(InvalidParameter):
                 parse_policy(bad)
 
