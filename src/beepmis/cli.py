@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
+def _size(text: str) -> int:
+    """argparse type of --n and --m: an integer of at least 1, so the error names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative batch experiment: policies x graph families x sizes x trials.
@@ -388,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--graph", nargs=1, required=True, dest="graphs", metavar="GRAPH",
                        help="er:<p> | grid | clique | cliquefam | path | file:<path>")
     p_exp.add_argument("--policy", nargs=1, required=True, dest="policies", metavar="POLICY")
-    p_exp.add_argument("--n", type=int, nargs="+", required=True, help="size values")
+    p_exp.add_argument("--n", type=_size, nargs="+", required=True, help="size values")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
     p_exp.add_argument("--output", default="experiment.csv")
     p_exp.set_defaults(report=_report_summaries)
 
     p_low = sub.add_parser("lowerbound", parents=[batch], help="sweep vs feedback on clique families")
-    p_low.add_argument("--m", type=int, nargs="+", default=[4, 6, 8, 10], dest="n", metavar="M")
+    p_low.add_argument("--m", type=_size, nargs="+", default=[4, 6, 8, 10], dest="n", metavar="M")
     p_low.add_argument("--policies", nargs="+", default=["feedback", "sweep"])
     p_low.add_argument("--trials", type=int, default=100)
     p_low.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
@@ -409,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, graphs, trials, report in PRESETS:
         p_fig = sub.add_parser(name, parents=[batch], help=help_text)
-        p_fig.add_argument("--n", type=int, nargs="+", default=FIG_N_VALUES)
+        p_fig.add_argument("--n", type=_size, nargs="+", default=FIG_N_VALUES)
         p_fig.add_argument("--output", default=name.removeprefix("reproduce-") + ".csv")
         p_fig.set_defaults(graphs=graphs, policies=FIG_POLICIES, trials=trials, report=report)
 

@@ -14,13 +14,14 @@ Node state is held in numpy arrays over the graph's CSR rows.  The heard
 test needs an answer for the beepers under a schedule (the join test) and
 for every active node under local feedback (its adjustment).  It
 either marks the beepers' whole rows (top-down) or lets each node that needs
-an answer read a window at the start of its own row, and the rest of the row
-only when the window held no beeper (bottom-up), whichever reads fewer
-entries; see :func:`_heard`.  The only other rows a round reads are its
-joiners'.  Every node joins at most once and, under local feedback, beeps
-O(1) times in expectation, so a feedback run reads O(n + m) adjacency in
-expectation.  A schedule's rounds with many beepers read mostly windows: a
-sweep run on G(512, 1/2) reads about as many entries as the graph holds.
+an answer read a window at the start of its own row, all windows in one 2-D
+gather, and the rest of the row only when the window held no beeper
+(bottom-up), whichever reads fewer entries; see :func:`_heard`.  The only
+other rows a round reads are its joiners'.  Every node joins at most once
+and, under local feedback, beeps O(1) times in expectation, so a feedback
+run reads O(n + m) adjacency in expectation.  A schedule's rounds with many
+beepers read mostly windows: a sweep run on G(512, 1/2) reads about as many
+entries as the graph holds.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ class _State:
     """Mutable state of one run; confined to a single run, never shared.
 
     ``active`` lists the active nodes in increasing order; ``alive`` and
-    ``in_mis`` are per-node flags, ``beep_counts`` per-node counters.
+    ``in_mis`` are per-node flags, ``beep_counts`` per-node counters and
+    ``degree`` the graph's row lengths.
     """
 
     round: int
+    degree: np.ndarray
     active: np.ndarray
     alive: np.ndarray
     in_mis: np.ndarray
@@ -88,6 +91,7 @@ def _new_state(graph: Graph, policy) -> _State:
     n = graph.node_count
     return _State(
         round=0,
+        degree=np.diff(graph.indptr),
         active=np.arange(n),
         alive=np.ones(n, dtype=bool),
         in_mis=np.zeros(n, dtype=bool),
@@ -100,7 +104,8 @@ def _new_state(graph: Graph, policy) -> _State:
 def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``indices[starts[k]:starts[k] + lengths[k]]`` for every k, concatenated.
 
-    Every adjacency read of a round goes through here.
+    Every adjacency read of a round goes through here, except the first
+    windows of a bottom-up heard test.
     """
     ends = lengths.cumsum()
     # Position i of the result lies in slice k at offset i - (ends[k] - lengths[k]).
@@ -108,7 +113,8 @@ def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return graph.indices[offsets + np.arange(offsets.size)]
 
 
-def _heard(graph: Graph, beeped: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
+           queries: np.ndarray) -> np.ndarray:
     """Flags, aligned with ``queries``, of the query nodes with a beeping neighbour.
 
     Top-down marks the beepers' rows, sum(deg(beeped)) entries.  Bottom-up
@@ -116,32 +122,40 @@ def _heard(graph: Graph, beeped: np.ndarray, queries: np.ndarray) -> np.ndarray:
     about four beepers if they were spread evenly over the nodes, then the
     rest of the rows whose window held none.  Bottom-up is taken when its
     windows, at most ``queries.size * window`` entries, read fewer entries
-    than top-down; both give the same flags.
+    than top-down; both give the same flags.  ``degree`` holds the graph's
+    row lengths.
     """
-    indptr = graph.indptr
-    beeper_starts = indptr[beeped]
-    beeper_degrees = indptr[beeped + 1] - beeper_starts
+    beeper_degrees = degree[beeped]
     window = -(-4 * graph.node_count // max(beeped.size, 1))
     if queries.size * window < beeper_degrees.sum():
-        return _heard_bottom_up(graph, beeped, queries, window)
-    return _heard_top_down(graph, beeper_starts, beeper_degrees, queries)
+        return _heard_bottom_up(graph, degree, beeped, queries, window)
+    return _heard_top_down(graph, beeped, beeper_degrees, queries)
 
 
-def _heard_top_down(graph: Graph, beeper_starts: np.ndarray, beeper_degrees: np.ndarray,
+def _heard_top_down(graph: Graph, beeped: np.ndarray, beeper_degrees: np.ndarray,
                     queries: np.ndarray) -> np.ndarray:
     marked = np.zeros(graph.node_count, dtype=bool)
-    marked[_row_entries(graph, beeper_starts, beeper_degrees)] = True
+    marked[_row_entries(graph, graph.indptr[beeped], beeper_degrees)] = True
     return marked[queries]
 
 
-def _heard_bottom_up(graph: Graph, beeped: np.ndarray, queries: np.ndarray,
-                     window: int) -> np.ndarray:
+def _heard_bottom_up(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
+                     queries: np.ndarray, window: int) -> np.ndarray:
+    """The graph needs at least one edge; :func:`_heard` takes this path
+    only when some beeper has a neighbour."""
     is_beeper = np.zeros(graph.node_count, dtype=bool)
     is_beeper[beeped] = True
     starts = graph.indptr[queries]
-    degrees = graph.indptr[queries + 1] - starts
-    first = np.minimum(degrees, window)
-    heard = _any_marked(graph, is_beeper, starts, first)
+    degrees = degree[queries]
+    # Every first window as one (window, queries) gather, window-major so
+    # that each numpy inner loop runs over all queries.  A row shorter than
+    # the window repeats its last entry; an empty row reads an entry of some
+    # other row, which the degree mask discards.
+    columns = np.arange(window)[:, None] + starts
+    np.minimum(columns, starts + degrees - 1, out=columns)
+    heard = is_beeper[graph.indices[columns]].any(axis=0) & (degrees > 0)
+    # The rest of the rows goes through the 1-D scan: as one 2-D gather it
+    # would be as wide as the longest row, which has no bound on a hub.
     rest = np.flatnonzero(~heard & (degrees > window))
     if rest.size:
         heard[rest] = _any_marked(graph, is_beeper, starts[rest] + window,
@@ -205,15 +219,14 @@ def _round(state: _State, graph: Graph,
 
     # A schedule reads heard only for the join test, local feedback for
     # every active node's adjustment.
-    heard = _heard(graph, beeped, active if per_node else beeped)
+    heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
     # A beeper joins exactly when none of its neighbours beeped this round.
     joined = beeped[~(heard[beeps] if per_node else heard)]
     if joined.size:
         state.in_mis[joined] = True
         alive = state.alive
-        starts = graph.indptr[joined]
         # Joiners are never adjacent, so a joiner is not among these neighbours.
-        dropped = _row_entries(graph, starts, graph.indptr[joined + 1] - starts)
+        dropped = _row_entries(graph, graph.indptr[joined], state.degree[joined])
         dropped = dropped[alive[dropped]]
         alive[joined] = False
         alive[dropped] = False

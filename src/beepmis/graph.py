@@ -198,11 +198,15 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     draws = rng.random(n * (n - 1) // 2)
     # The dense upper triangle, filled row by row in draw order, then
     # mirrored; its nonzero positions in row-major order are CSR order.
+    nodes = np.arange(n)
     adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[np.triu(np.ones((n, n), dtype=bool), k=1)] = draws < p_edge
+    adjacent[nodes[:, None] < nodes] = draws < p_edge
     adjacent |= adjacent.T
     flat = np.flatnonzero(adjacent)
-    return Graph.from_csr(np.searchsorted(flat, np.arange(n + 1) * n), flat % n)
+    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
+    # Position row * n + column becomes the column.
+    flat -= np.repeat(nodes * n, np.diff(indptr))
+    return Graph.from_csr(indptr, flat)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

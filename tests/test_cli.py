@@ -295,11 +295,15 @@ class TestExperiment:
     @pytest.mark.parametrize("case, message", [
         (["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "64", "--trials", "3",
           "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
-        (["lowerbound", "--m", "0", "--trials", "2"], "n values must be >= 1, got 0"),
+        (["lowerbound", "--m", "0", "--trials", "2"], "argument --m: must be >= 1, got 0"),
+        (["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "64", "0", "--trials", "3"],
+         "argument --n: must be >= 1, got 0"),
+        (["reproduce-fig3", "--n", "0"], "argument --n: must be >= 1, got 0"),
         (ExperimentSpec((), "er:0.5", (8,), 2, 1), "policies must not be empty"),
         (ExperimentSpec("feedback", (), (8,), 2, 1), "graphs must not be empty"),
         (ExperimentSpec("feedback", "bogus", (), 2, 1), "n_values must not be empty"),
-    ], ids=["max-rounds", "lowerbound-m", "no-policies", "no-graphs", "no-sizes"])
+    ], ids=["max-rounds", "lowerbound-m", "experiment-n", "fig3-n", "no-policies", "no-graphs",
+            "no-sizes"])
     def test_bad_batch_fails_before_any_build(self, case, message, tmp_path, monkeypatch, capsys):
         builds = [count_calls(monkeypatch, cli, builder) for builder in GRAPH_BUILDERS]
         runs = count_calls(monkeypatch, engine, "run")

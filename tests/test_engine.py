@@ -243,6 +243,10 @@ class TestDraws:
         assert got == expected
 
 
+STAR = Graph(13, [(0, leaf) for leaf in range(1, 13)])  # a hub row longer than most windows
+WITH_ISOLATED = Graph(9, [(1, 2), (2, 5), (1, 7), (5, 7)])  # 0, 3, 4, 6 and 8 have no row
+
+
 def heard_reference(graph, beeped, queries):
     beepers = set(beeped.tolist())
     return [bool(beepers.intersection(graph.neighbours(q))) for q in queries.tolist()]
@@ -270,8 +274,23 @@ class TestHeard:
                 active = np.flatnonzero(rng.random(n) < 0.8)
                 beeped = active[rng.random(active.size) < fraction]
                 for queries in (beeped, active):
-                    assert engine._heard(g, beeped, queries).tolist() == heard_reference(g, beeped, queries)
+                    flags = engine._heard(g, np.diff(g.indptr), beeped, queries)
+                    assert flags.tolist() == heard_reference(g, beeped, queries)
         assert calls["top_down"] and calls["bottom_up"]
+
+    @given(st.one_of(small_graphs(), st.sampled_from([STAR, WITH_ISOLATED])), st.data())
+    def test_each_kernel_equals_set_based_flags(self, g, data):
+        # both directions on every window, not only the one _heard would pick
+        n = g.node_count
+        beeped = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        degree = np.diff(g.indptr)
+        for queries in (beeped, np.arange(n)):
+            expected = heard_reference(g, beeped, queries)
+            assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
+            if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
+                for window in range(1, n + 1):
+                    flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
+                    assert flags.tolist() == expected
 
 
 def traced_peak_mib(build_and_run):
@@ -290,13 +309,19 @@ class TestWork:
         # entries here; a round should read what its answers need
         read = []
         row_entries = engine._row_entries
+        bottom_up = engine._heard_bottom_up
 
         def counted(graph, starts, lengths):
             entries = row_entries(graph, starts, lengths)
             read.append(entries.size)
             return entries
 
+        def windows(graph, degree, beeped, queries, window):
+            read.append(queries.size * window)  # the first windows, one 2-D gather
+            return bottom_up(graph, degree, beeped, queries, window)
+
         monkeypatch.setattr(engine, "_row_entries", counted)
+        monkeypatch.setattr(engine, "_heard_bottom_up", windows)
         g = erdos_renyi(512, 0.5, 1)
         assert run(g, GlobalSweep(), 1).terminated
         assert sum(read) <= 3 * g.indices.size

@@ -21,6 +21,7 @@ from beepmis import (
 )
 
 from conftest import small_graphs
+from reference_graph import reference_erdos_renyi
 
 
 def count_components(g):
@@ -131,6 +132,14 @@ class TestErdosRenyi:
            st.integers(min_value=0, max_value=2**64 - 1))
     def test_invariants(self, n, p, seed):
         validate_graph(erdos_renyi(n, p, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_equals_dense_reference(self, n, p):
+        for seed in (0, 20240802, 2**64 - 1):
+            g = erdos_renyi(n, p, seed)
+            assert g == reference_erdos_renyi(n, p, seed)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 class TestGridGraph:
