@@ -15,13 +15,13 @@ test needs an answer for the beepers under a schedule (the join test) and
 for every active node under local feedback (its adjustment).  It
 either marks the beepers' whole rows (top-down) or lets each node that needs
 an answer read a window at the start of its own row, all windows in one 2-D
-gather, and the rest of the row only when the window held no beeper
-(bottom-up), whichever reads fewer entries; see :func:`_heard`.  The only
-other rows a round reads are its joiners'.  Every node joins at most once
-and, under local feedback, beeps O(1) times in expectation, so a feedback
-run reads O(n + m) adjacency in expectation.  A schedule's rounds with many
-beepers read mostly windows: a sweep run on G(512, 1/2) reads about as many
-entries as the graph holds.
+gather, and the rest of the row only when the window held no beeper, all
+rests in one segmented OR (bottom-up), whichever reads fewer entries; see
+:func:`_heard`.  The only other rows a round reads are its joiners'.  Every
+node joins at most once and, under local feedback, beeps O(1) times in
+expectation, so a feedback run reads O(n + m) adjacency in expectation.  A
+schedule's rounds with many beepers read mostly windows: a sweep run on
+G(512, 1/2) reads about as many entries as the graph holds.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
     Top-down marks the beepers' rows, sum(deg(beeped)) entries.  Bottom-up
     lets each query scan its own row: first a window long enough to hold
     about four beepers if they were spread evenly over the nodes, then the
-    rest of the rows whose window held none.  Bottom-up is taken when its
+    rest of the rows whose window held none, ORed per row by
+    ``np.logical_or.reduceat``.  Bottom-up is taken when its
     windows, at most ``queries.size * window`` entries, read fewer entries
     than top-down; both give the same flags.  ``degree`` holds the graph's
     row lengths.
@@ -154,24 +155,17 @@ def _heard_bottom_up(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
     columns = np.arange(window)[:, None] + starts
     np.minimum(columns, starts + degrees - 1, out=columns)
     heard = is_beeper[graph.indices[columns]].any(axis=0) & (degrees > 0)
-    # The rest of the rows goes through the 1-D scan: as one 2-D gather it
-    # would be as wide as the longest row, which has no bound on a hub.
+    # The rest of the rows, one segmented OR over their concatenation: as one
+    # 2-D gather it would be as wide as the longest row, which has no bound on
+    # a hub.  A rest row is longer than the window, so every segment holds an
+    # entry, the one condition reduceat needs to OR exactly its own segment.
     rest = np.flatnonzero(~heard & (degrees > window))
     if rest.size:
-        heard[rest] = _any_marked(graph, is_beeper, starts[rest] + window,
-                                  degrees[rest] - window)
+        lengths = degrees[rest] - window
+        firsts = lengths.cumsum() - lengths
+        heard[rest] = np.logical_or.reduceat(
+            is_beeper[_row_entries(graph, starts[rest] + window, lengths)], firsts)
     return heard
-
-
-def _any_marked(graph: Graph, marked: np.ndarray, starts: np.ndarray,
-                lengths: np.ndarray) -> np.ndarray:
-    """Whether each slice ``indices[start:start + length]`` holds a marked node."""
-    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
-    lengths.cumsum(out=bounds[1:])
-    # Marked entries before each position of the concatenated slices.
-    before = np.zeros(bounds[-1] + 1, dtype=np.int64)
-    marked[_row_entries(graph, starts, lengths)].cumsum(out=before[1:])
-    return before[bounds[1:]] > before[bounds[:-1]]
 
 
 # One generator per thread, reseeded by every run: concurrent runs in

@@ -10,6 +10,7 @@ interchange format.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -185,22 +186,25 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     """G(n, p) random graph, reproducible for equal (n, p_edge, seed).
 
     Each unordered pair is included independently with probability p_edge.
-    Pairs are drawn in lexicographic order (0,1), (0,2), ..., (n-2,n-1) from a
-    PCG64 stream seeded with the 64-bit seed, so the adjacency is a pure
-    function of the arguments.
+    Pairs are drawn in lexicographic order (0,1), (0,2), ..., (n-2,n-1) from
+    the raw words of a PCG64 stream seeded with the 64-bit seed, so the
+    adjacency is a pure function of the arguments.  A pair is present when
+    its word's top 53 bits are below ceil(p_edge * 2^53): exactly
+    ``Generator.random() < p_edge``, but with no Generator method, whose
+    stream numpy does not promise to keep.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"erdos_renyi requires n >= 1, got {n!r}")
     if not 0.0 <= p_edge <= 1.0:
         raise InvalidParameter(f"p_edge must be in [0, 1], got {p_edge!r}")
     _check_cells(n * n, f"G(n, p) on {n} nodes")
-    rng = np.random.default_rng(int(seed) & MASK64)
-    draws = rng.random(n * (n - 1) // 2)
+    words = np.random.PCG64(int(seed) & MASK64).random_raw(n * (n - 1) // 2)
+    words >>= 11
     # The dense upper triangle, filled row by row in draw order, then
     # mirrored; its nonzero positions in row-major order are CSR order.
     nodes = np.arange(n)
     adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[nodes[:, None] < nodes] = draws < p_edge
+    adjacent[nodes[:, None] < nodes] = words < math.ceil(p_edge * 2**53)
     adjacent |= adjacent.T
     flat = np.flatnonzero(adjacent)
     indptr = np.searchsorted(flat, np.arange(n + 1) * n)

@@ -1,9 +1,10 @@
 """Dense reference builder for G(n, p), the differential oracle for ``erdos_renyi``.
 
 The construction ``erdos_renyi`` used before it dropped the ``np.triu`` mask
-of ones and the modulo: the same PCG64 draws fill the upper triangle of a
-dense n x n matrix row by row, which is mirrored and read back in row-major
-order.
+of ones and the modulo and before it compared PCG64's raw words with an
+integer threshold: ``Generator.random`` doubles from the same PCG64 stream
+fill the upper triangle of a dense n x n matrix row by row, which is
+mirrored and read back in row-major order.
 """
 
 import numpy as np

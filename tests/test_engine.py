@@ -334,6 +334,25 @@ class TestLinearMemory:
         peak = traced_peak_mib(lambda: run(grid_graph(128, 128), LocalFeedback(), 0))
         assert peak < 32
 
+    def test_rest_scan_peak(self):
+        # A hub joined to 2,000 rows that also share 16 silent nodes, and
+        # 2,000 isolated beepers that shrink the window to 9: every query row
+        # is longer than the window and holds no beeper, so all of them go
+        # through the rest scan.  It reads 36,000 entries; a 2-D rest gather
+        # would be as wide as the hub's row, about 4 million entries.
+        rows, shared, beepers = 2000, 16, 2000
+        n = 1 + rows + shared + beepers
+        g = Graph(n, [(0, v) for v in range(1, rows + 1)]
+                  + [(v, w) for v in range(1, rows + 1) for w in range(rows + 1, rows + 1 + shared)])
+        degree = np.diff(g.indptr)
+        beeped, queries = np.arange(n - beepers, n), np.arange(rows + 1)
+        window = -(-4 * n // beepers)
+        assert degree[queries].min() > window
+        read = queries.size * window + int((degree[queries] - window).sum())
+        assert not engine._heard_bottom_up(g, degree, beeped, queries, window).any()
+        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, beeped, queries, window))
+        assert peak * 2**20 < 64 * read  # eight int64 words per entry read
+
     def test_path_200k_terminates(self):
         # refuse the big run unless a small one is clearly linear: a quadratic
         # index at 200,000 nodes would need about 40 GB

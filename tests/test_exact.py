@@ -37,6 +37,19 @@ Z_BOUND = 4.5
 KS_BOUND = 1.95
 
 
+def feedback_step(mass: np.ndarray, silent: np.ndarray, collide: np.ndarray) -> np.ndarray:
+    """One round of the shared-exponent chain: silence moves a level down
+    (towards the cap), a collision a level up (towards the floor), and the
+    rest of the mass, a join, leaves the chain."""
+    down, up = mass * silent, mass * collide
+    mass = np.zeros(LEVELS)
+    mass[:-1] += down[1:]
+    mass[0] += down[0]
+    mass[1:] += up[:-1]
+    mass[-1] += up[-1]
+    return mass
+
+
 @lru_cache(maxsize=None)
 def feedback_survival(d: int) -> np.ndarray:
     """S_d(t), t = 0..HORIZON, for K_d under default feedback."""
@@ -48,12 +61,7 @@ def feedback_survival(d: int) -> np.ndarray:
     mass[0] = 1.0  # every node starts at 1/2
     survival = [1.0]
     for _ in range(HORIZON):
-        down, up = mass * silent, mass * collide
-        mass = np.zeros(LEVELS)
-        mass[:-1] += down[1:]
-        mass[0] += down[0]
-        mass[1:] += up[:-1]
-        mass[-1] += up[-1]
+        mass = feedback_step(mass, silent, collide)
         survival.append(mass.sum())
     return np.array(survival)
 

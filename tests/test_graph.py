@@ -134,12 +134,23 @@ class TestErdosRenyi:
         validate_graph(erdos_renyi(n, p, seed))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
-    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 0.9999999999, 1.0])
     def test_equals_dense_reference(self, n, p):
         for seed in (0, 20240802, 2**64 - 1):
             g = erdos_renyi(n, p, seed)
             assert g == reference_erdos_renyi(n, p, seed)
             assert g.indptr.dtype == g.indices.dtype == np.int64
+
+    def test_draws_without_a_generator(self, monkeypatch):
+        # numpy keeps PCG64's raw words stable, not the streams of Generator's methods
+        expected = reference_erdos_renyi(64, 0.5, 7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("erdos_renyi made a numpy Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        assert erdos_renyi(64, 0.5, 7) == expected
 
 
 class TestGridGraph:
