@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Callable
 
 from . import engine
-from .errors import BeepMISError, InvalidParameter
+from .errors import BeepMISError, InvalidParameter, TooLarge
 from .graph import (
     Graph,
     clique_family,
@@ -50,6 +50,13 @@ SEED_ENV_VAR = "BEEPMIS_SEED"
 # Reproduction presets: feedback vs sweep over powers of two, fixed trial counts.
 FIG_POLICIES = ("feedback", "sweep")
 FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
+
+# Most rows a batch may hold.  A batch keeps every task and every record until
+# its last trial, and a serial batch of 8,000 to 32,000 one-row trials peaked
+# at about 560 B per row under tracemalloc, so 2^20 rows stay near 0.5 GiB.
+# That is 187 times the largest preset (reproduce-fig5, 5,600 rows), so a
+# mistyped --trials fails with TooLarge before it exhausts memory.
+_ROW_BUDGET = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,6 +208,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     for label, value in counts + [("n values", n) for n in spec.n_values]:
         if value is not None and value < 1:
             raise InvalidParameter(f"{label} must be >= 1, got {value}")
+    rows = len(spec.policies) * len(spec.graphs) * len(spec.n_values) * spec.trials
+    if rows > _ROW_BUDGET:
+        raise TooLarge(f"batch of {rows} rows, over the budget of {_ROW_BUDGET}")
     # (policy, graph, n, trial) names one row, so every policy name, graph
     # head and (graph, n) cell, written in the single-run grammar, is given once.
     resolved = [parse_graph(graph, n) for graph in spec.graphs for n in spec.n_values]

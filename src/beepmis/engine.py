@@ -4,11 +4,12 @@
 independently with its policy probability (first exchange, beeps heard by
 all neighbours the same round); a node that beeped and heard nothing joins
 the independent set, and every active neighbour of a joiner becomes inactive
-(second exchange); each surviving active node then receives the policy
-update for what it heard.  Per-round, per-node random draws are consumed in
-ascending node index over active nodes only, which pins within-implementation
-determinism for a given seed; a round's doubles come in one batch from the
-very stream of ``random.Random(seed)`` (see :func:`_batched_draws`).
+(second exchange); every node active in the round receives the policy update
+for what it heard, which only the nodes that stay active ever read.
+Per-round, per-node random draws are consumed in ascending node index over
+active nodes only, which pins within-implementation determinism for a given
+seed; a round's doubles come in one batch from the very stream of
+``random.Random(seed)`` (see :func:`_batched_draws`).
 
 Node state is held in numpy arrays over the graph's CSR rows.  The heard
 test needs an answer for the beepers under a schedule (the join test) and
@@ -197,8 +198,7 @@ def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
 def _round(state: _State, graph: Graph,
            draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round in place; ``draw(k)`` gives the next k uniform doubles.
-    Returns the beepers, the joiners and the joiners' neighbours that were
-    active until this round."""
+    Returns the beepers, the joiners and the nodes that left the active set."""
     policy = state.policy
     pstate = state.policy_state
     active = state.active
@@ -216,37 +216,30 @@ def _round(state: _State, graph: Graph,
     heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
     # A beeper joins exactly when none of its neighbours beeped this round.
     joined = beeped[~(heard[beeps] if per_node else heard)]
+    # The whole slice is adjusted: a node that leaves this round is never
+    # read again, so its probability does not matter.
+    if per_node:
+        pstate[active] = policy.adjust(p, heard)
+    else:
+        policy.end_round(pstate)
+    left = joined  # empty: nobody joined, so nobody left
     if joined.size:
         state.in_mis[joined] = True
         alive = state.alive
-        # Joiners are never adjacent, so a joiner is not among these neighbours.
-        dropped = _row_entries(graph, graph.indptr[joined], state.degree[joined])
-        dropped = dropped[alive[dropped]]
         alive[joined] = False
-        alive[dropped] = False
-        survives = alive[active]
-        active = active[survives]
-        state.active = active
-        if per_node:
-            heard = heard[survives]
-    else:
-        dropped = joined  # nobody joined, so nobody is dropped
-
-    # Survivors only: nodes deactivated this round keep their probability.
-    if per_node:
-        pstate[active] = policy.adjust(pstate[active], heard)
-    else:
-        policy.end_round(pstate)
+        alive[_row_entries(graph, graph.indptr[joined], state.degree[joined])] = False
+        stays = alive[active]
+        state.active = active[stays]
+        left = active[~stays]
     state.round += 1
-    return beeped, joined, dropped
+    return beeped, joined, left
 
 
-def _outcome(beeped: np.ndarray, joined: np.ndarray, dropped: np.ndarray) -> RoundOutcome:
-    joined_list = joined.tolist()
+def _outcome(beeped: np.ndarray, joined: np.ndarray, left: np.ndarray) -> RoundOutcome:
     return RoundOutcome(
         beeped=frozenset(beeped.tolist()),
-        joined_mis=frozenset(joined_list),
-        newly_inactive=frozenset(joined_list + dropped.tolist()),
+        joined_mis=frozenset(joined.tolist()),
+        newly_inactive=frozenset(left.tolist()),
     )
 
 

@@ -5,8 +5,8 @@ schedule (global sweep, constant) is node-independent: each round the engine
 asks ``uniform_probability(state)`` for the probability every active node
 beeps with, and afterwards calls ``end_round(state)``.  Local feedback is a
 rule, not a protocol: its state is the array of per-node probabilities, which
-the engine indexes itself, and after each round ``adjust(p, heard)`` gives
-the surviving nodes' next probabilities from whether each heard a beep.
+the engine indexes itself, and in each round ``adjust(p, heard)`` gives the
+active nodes' next probabilities from whether each heard a beep.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class LocalFeedback:
             raise InvalidParameter(f"adjustment factor must be > 1, got {factor!r}")
         if not 0.0 < cap < 1.0:
             raise InvalidParameter(f"probability cap must be in (0, 1), got {cap!r}")
-        if not 0.0 < initial <= cap:
-            raise InvalidParameter(f"initial probability must be in (0, cap], got {initial!r}")
+        if not _MIN_PROBABILITY <= initial <= cap:
+            raise InvalidParameter(f"initial probability must be in [2^-64, cap], got {initial!r}")
         self.factor = float(factor)
         self.initial = float(initial)
         self.cap = float(cap)

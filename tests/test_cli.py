@@ -6,7 +6,7 @@ import pytest
 import beepmis.cli as cli
 import beepmis.graph
 import beepmis.engine as engine
-from beepmis import InvalidParameter, VerifyReport, read_records
+from beepmis import InvalidParameter, TooLarge, VerifyReport, read_records
 from beepmis.cli import (
     EXIT_NOT_TERMINATED,
     EXIT_OK,
@@ -139,6 +139,11 @@ class TestCmdRun:
 
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["run", "--graph", "path:3", "--policy", "bogus"]) == EXIT_USAGE
+
+    def test_feedback_initial_below_floor_is_usage_error(self, capsys):
+        code = main(["run", "--graph", "path:3", "--policy", "feedback:init=1e-30"])
+        assert code == EXIT_USAGE
+        assert "initial probability must be in [2^-64, cap]" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["run", "--graph", "file:/no/such/file", "--policy", "sweep"]) == EXIT_USAGE
@@ -328,6 +333,31 @@ class TestExperiment:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert len(runs) == 0
         assert not out.exists()
+
+    def test_rows_over_budget_fail_before_any_graph(self, tmp_path, monkeypatch, capsys):
+        # the check runs before the task list is built, so no trial is reached
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        resolved = count_calls(monkeypatch, cli, "parse_graph")
+        trials = cli._ROW_BUDGET + 1
+        with pytest.raises(TooLarge, match=f"batch of {trials} rows, over the budget"):
+            run_experiment(ExperimentSpec("sweep", "path", (4,), trials, 0))
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--graph", "path", "--policy", "sweep", "--n", "4",
+                     "--trials", str(trials), "--output", str(out)]) == EXIT_USAGE
+        assert "over the budget" in capsys.readouterr().err
+        assert len(resolved) == 0
+        assert not out.exists()
+
+    def test_row_budget_counts_every_row(self, monkeypatch):
+        # policies x graphs x sizes x trials: 2 x 1 x 2 x 3 = 12 rows
+        monkeypatch.setattr(cli, "_ROW_BUDGET", 12)
+        spec = ExperimentSpec(("feedback", "sweep"), "path", (3, 4), 3, 0)
+        assert len(run_experiment(spec)) == 12
+        with pytest.raises(TooLarge, match="batch of 16 rows"):
+            run_experiment(ExperimentSpec(("feedback", "sweep"), "path", (3, 4), 4, 0))
 
     def test_trial_seeds_follow_stable_mix(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"

@@ -61,9 +61,9 @@ class TestStep:
         assert state.in_mis.tolist() == [True, False]
         assert state.alive.tolist() == [False, False]
         assert state.active.size == 0
-        # nodes deactivated this round receive no policy update: node 1 heard
-        # a beep, but its probability stays at 1/2
-        assert state.policy_state.tolist() == [0.5, 0.5]
+        # every node of the round is adjusted, the two that left included:
+        # node 0 heard silence and stays at the cap, node 1 heard a beep
+        assert state.policy_state.tolist() == [0.5, 0.25]
 
     def test_k2_round1_enumeration(self):
         # all four beep patterns at p = (1/2, 1/2); join happens iff exactly
@@ -101,6 +101,24 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("g", [complete_graph(2), path_graph(9), clique_family(5),
+                                   erdos_renyi(64, 0.3, 5), grid_graph(6, 7)],
+                             ids=["k2", "path9", "cliquefam5", "er64", "grid6x7"])
+    def test_left_nodes_probabilities_are_never_read(self, g):
+        # Nodes that left hold NaN from their last round on; a run that read
+        # one would draw differently, so the outputs would differ from run's.
+        policy = LocalFeedback()
+        for seed in range(20):
+            state = engine._new_state(g, policy)
+            draw = engine._batched_draws(seed)
+            while state.active.size and state.round < default_max_rounds(g.node_count):
+                engine._round(state, g, draw)
+                state.policy_state[~state.alive] = np.nan
+            result = run(g, policy, seed)
+            assert state.round == result.rounds
+            assert tuple(state.beep_counts.tolist()) == result.beep_counts
+            assert frozenset(np.flatnonzero(state.in_mis).tolist()) == result.mis
+
     def test_empty_graph(self):
         result = run(Graph(0), GlobalSweep(), seed=5)
         assert result.terminated and result.rounds == 0 and result.mis == frozenset()

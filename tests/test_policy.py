@@ -150,15 +150,15 @@ class TestLocalFeedback:
         state = policy.adjust(state, np.array([False]))
         assert state[0] == 2.0 ** -63
 
-    def test_round_adjusts_only_survivors(self):
+    def test_round_adjusts_every_node_of_the_round(self):
         # K_2 on {0, 1} collides, 2 joins alone and drops its neighbour 3, 4
-        # is silent: the colliders halve, 4 doubles, 2 and 3 keep theirs
+        # is silent: the colliders and 3 halve, 2 stays at the cap, 4 doubles
         g = Graph(5, [(0, 1), (2, 3)])
         state = engine._new_state(g, LocalFeedback())
         state.policy_state[[3, 4]] = 0.125
         scripted_round(state, g, [BEEP, BEEP, BEEP, SILENT, SILENT])
         assert state.active.tolist() == [0, 1, 4]
-        assert state.policy_state.tolist() == [0.25, 0.25, 0.5, 0.125, 0.25]
+        assert state.policy_state.tolist() == [0.25, 0.25, 0.5, 0.0625, 0.25]
 
     def test_generalized_factor(self):
         policy = LocalFeedback(factor=3.0, initial=0.3, cap=0.4)
@@ -201,6 +201,10 @@ class TestLocalFeedback:
             LocalFeedback(initial=0.6, cap=0.5)
         with pytest.raises(InvalidParameter):
             LocalFeedback(cap=1.0)
+        # below the 2^-64 floor, hearing a beep would raise the probability
+        with pytest.raises(InvalidParameter):
+            LocalFeedback(initial=1e-30)
+        assert LocalFeedback(initial=2.0 ** -64).initial == 2.0 ** -64
 
 
 class TestConstant:
@@ -270,7 +274,7 @@ class TestPolicyNames:
         assert parse_policy(Constant(p).name).probability == p
 
     @given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
-           st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+           st.floats(min_value=2.0 ** -64, max_value=0.5))
     def test_feedback_name_reads_back(self, factor, initial):
         policy = LocalFeedback(factor, initial, 0.5)
         again = parse_policy(policy.name)
