@@ -1,9 +1,10 @@
 """Synchronous two-exchange round engine for beeping MIS protocols.
 
-:func:`run` is the only entry point.  One round: every active node beeps
-independently with its policy probability (first exchange, beeps heard by
-all neighbours the same round); a node that beeped and heard nothing joins
-the independent set, and every active neighbour of a joiner becomes inactive
+:func:`run` is the only entry point.  A node is active (competing), joined
+(in the independent set) or dominated (a neighbour joined).  One round: every
+active node beeps independently with its policy probability (first exchange,
+beeps heard by all neighbours the same round); a node that beeped and heard
+nothing joins, and every active neighbour of a joiner becomes dominated
 (second exchange); every node active in the round receives the policy update
 for what it heard, which only the nodes that stay active ever read.
 Per-round, per-node random draws are consumed in ascending node index over
@@ -38,6 +39,8 @@ from .graph import Graph
 from .policy import LocalFeedback
 from .seeding import MASK64
 
+_ACTIVE, _JOINED, _DOMINATED = 0, 1, 2  # node status codes; zeros start a run
+
 
 @dataclass(frozen=True)
 class RoundOutcome:
@@ -68,16 +71,15 @@ class RunResult:
 class _State:
     """Mutable state of one run; confined to a single run, never shared.
 
-    ``active`` lists the active nodes in increasing order; ``alive`` and
-    ``in_mis`` are per-node flags, ``beep_counts`` per-node counters and
-    ``degree`` the graph's row lengths.
+    ``status`` holds each node's state, ``_ACTIVE``, ``_JOINED`` or
+    ``_DOMINATED``; ``active`` lists the ``_ACTIVE`` nodes in increasing
+    order, ``beep_counts`` per-node counters and ``degree`` row lengths.
     """
 
     round: int
     degree: np.ndarray
     active: np.ndarray
-    alive: np.ndarray
-    in_mis: np.ndarray
+    status: np.ndarray
     beep_counts: np.ndarray
     policy: Any
     policy_state: Any
@@ -94,8 +96,7 @@ def _new_state(graph: Graph, policy) -> _State:
         round=0,
         degree=np.diff(graph.indptr),
         active=np.arange(n),
-        alive=np.ones(n, dtype=bool),
-        in_mis=np.zeros(n, dtype=bool),
+        status=np.zeros(n, dtype=np.int8),
         beep_counts=np.zeros(n, dtype=np.int64),
         policy=policy,
         policy_state=policy.initial_state(n),
@@ -196,9 +197,9 @@ def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
 
 
 def _round(state: _State, graph: Graph,
-           draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One round in place; ``draw(k)`` gives the next k uniform doubles.
-    Returns the beepers, the joiners and the nodes that left the active set."""
+    Returns the beepers and the joiners."""
     policy = state.policy
     pstate = state.policy_state
     active = state.active
@@ -222,24 +223,22 @@ def _round(state: _State, graph: Graph,
         pstate[active] = policy.adjust(p, heard)
     else:
         policy.end_round(pstate)
-    left = joined  # empty: nobody joined, so nobody left
     if joined.size:
-        state.in_mis[joined] = True
-        alive = state.alive
-        alive[joined] = False
-        alive[_row_entries(graph, graph.indptr[joined], state.degree[joined])] = False
-        stays = alive[active]
-        state.active = active[stays]
-        left = active[~stays]
+        # A joiner's row holds no joiner of any round: no status leaves _JOINED.
+        state.status[_row_entries(graph, graph.indptr[joined], state.degree[joined])] = _DOMINATED
+        state.status[joined] = _JOINED
+        state.active = active[state.status[active] == _ACTIVE]
     state.round += 1
-    return beeped, joined, left
+    return beeped, joined
 
 
-def _outcome(beeped: np.ndarray, joined: np.ndarray, left: np.ndarray) -> RoundOutcome:
+def _outcome(beeped: np.ndarray, joined: np.ndarray, before: np.ndarray,
+             status: np.ndarray) -> RoundOutcome:
+    """The round's trace entry; ``before`` held the active nodes as it began."""
     return RoundOutcome(
         beeped=frozenset(beeped.tolist()),
         joined_mis=frozenset(joined.tolist()),
-        newly_inactive=frozenset(left.tolist()),
+        newly_inactive=frozenset(before[status[before] != _ACTIVE].tolist()),
     )
 
 
@@ -252,18 +251,19 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(graph.node_count)
-    if max_rounds < 1:
-        raise InvalidParameter(f"max_rounds must be >= 1, got {max_rounds!r}")
+    if not isinstance(max_rounds, (int, np.integer)) or isinstance(max_rounds, bool) or max_rounds < 1:
+        raise InvalidParameter(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     state = _new_state(graph, policy)
     draw = _batched_draws(seed)
     trace: list[RoundOutcome] | None = [] if keep_trace else None
     while state.active.size and state.round < max_rounds:
-        arrays = _round(state, graph, draw)
+        before = state.active
+        beeped, joined = _round(state, graph, draw)
         if trace is not None:
-            trace.append(_outcome(*arrays))
+            trace.append(_outcome(beeped, joined, before, state.status))
     beep_counts = state.beep_counts.tolist()
     return RunResult(
-        mis=frozenset(np.flatnonzero(state.in_mis).tolist()),
+        mis=frozenset(np.flatnonzero(state.status == _JOINED).tolist()),
         rounds=state.round,
         beep_counts=tuple(beep_counts),
         total_beeps=sum(beep_counts),

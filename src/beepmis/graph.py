@@ -46,7 +46,14 @@ class Graph:
         if not isinstance(node_count, int) or isinstance(node_count, bool) or node_count < 0:
             raise InvalidParameter(f"node_count must be a nonnegative integer, got {node_count!r}")
         _check_cells(node_count, f"graph on {node_count} nodes")
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        # Anything but (u, v) integer pairs is refused, not truncated or regrouped.
+        try:
+            pairs = np.array(list(edges))
+        except ValueError:  # pairs of unequal lengths
+            pairs = None
+        if pairs is None or pairs.size and (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"):
+            raise InvalidParameter("edges must be (u, v) pairs of integers")
+        pairs = pairs.astype(np.int64).reshape(-1, 2)
         bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
         if bad.any():
             u, v = pairs[np.argmax(bad)].tolist()

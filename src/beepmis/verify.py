@@ -41,6 +41,11 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
     """
     n = graph.node_count
     values = list(candidate)
+    # A float id would be truncated to some node and a bool read as node 0 or 1.
+    strays = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
+    if strays:
+        v = next(v for v in values if type(v) in strays)
+        raise InvalidParameter(f"candidate node {v!r} is not an integer")
     # Range-check before indexing: a negative id would wrap around.
     if values and not (0 <= min(values) and max(values) < n):
         v = next(v for v in values if not 0 <= v < n)

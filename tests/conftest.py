@@ -27,7 +27,9 @@ def scripted_round(state, graph, draws):
         del script[:k]
         return batch
 
-    return engine._outcome(*engine._round(state, graph, draw))
+    before = state.active
+    beeped, joined = engine._round(state, graph, draw)
+    return engine._outcome(beeped, joined, before, state.status)
 
 
 BEEP = 0.0

@@ -58,8 +58,7 @@ class TestStep:
         assert outcome.joined_mis == {0}
         assert outcome.newly_inactive == {0, 1}
         # node 0 joined, node 1 became an inactive neighbour
-        assert state.in_mis.tolist() == [True, False]
-        assert state.alive.tolist() == [False, False]
+        assert state.status.tolist() == [engine._JOINED, engine._DOMINATED]
         assert state.active.size == 0
         # every node of the round is adjusted, the two that left included:
         # node 0 heard silence and stays at the cap, node 1 heard a beep
@@ -89,7 +88,7 @@ class TestStep:
         outcome = scripted_round(state, g, [BEEP, SILENT, BEEP])
         assert outcome.joined_mis == {0, 2}
         assert outcome.newly_inactive == {0, 1, 2}
-        assert not state.alive[1] and not state.in_mis[1]  # an inactive neighbour
+        assert state.status[1] == engine._DOMINATED  # a neighbour of both joiners
 
     def test_silent_round_doubles_probability(self):
         g = complete_graph(2)
@@ -113,11 +112,11 @@ class TestRun:
             draw = engine._batched_draws(seed)
             while state.active.size and state.round < default_max_rounds(g.node_count):
                 engine._round(state, g, draw)
-                state.policy_state[~state.alive] = np.nan
+                state.policy_state[state.status != engine._ACTIVE] = np.nan
             result = run(g, policy, seed)
             assert state.round == result.rounds
             assert tuple(state.beep_counts.tolist()) == result.beep_counts
-            assert frozenset(np.flatnonzero(state.in_mis).tolist()) == result.mis
+            assert frozenset(np.flatnonzero(state.status == engine._JOINED).tolist()) == result.mis
 
     def test_empty_graph(self):
         result = run(Graph(0), GlobalSweep(), seed=5)
@@ -152,8 +151,13 @@ class TestRun:
         assert result.mis == frozenset()
 
     def test_rejects_bad_max_rounds(self):
-        with pytest.raises(InvalidParameter):
-            run(complete_graph(2), GlobalSweep(), seed=0, max_rounds=0)
+        # 2.5 would run three rounds
+        for max_rounds in (0, -3, 2.5, 3.0, True, "3"):
+            with pytest.raises(InvalidParameter, match="max_rounds must be an integer >= 1"):
+                run(complete_graph(2), GlobalSweep(), seed=0, max_rounds=max_rounds)
+
+    def test_accepts_numpy_integer_max_rounds(self):
+        assert run(complete_graph(2), Constant(1.0), seed=0, max_rounds=np.int64(3)).rounds == 3
 
     def test_default_max_rounds(self):
         assert default_max_rounds(0) == 128
@@ -182,6 +186,32 @@ class TestRun:
         }[policy_kind]
         result = run(g, policy, seed=seed, keep_trace=True)
         replay_check(g, result)
+
+
+class TestStatus:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_graphs(max_nodes=10),
+        st.sampled_from(["feedback", "feedback:f=1.7,init=0.45,cap=0.5", "sweep", "const:0.4"]),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_transitions(self, g, policy_text, seed):
+        rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+        state = engine._new_state(g, parse_policy(policy_text))
+        draw = engine._batched_draws(seed)
+        before = state.status.copy()
+        while state.active.size and state.round < default_max_rounds(g.node_count):
+            engine._round(state, g, draw)
+            status = state.status
+            assert state.active.tolist() == np.flatnonzero(status == engine._ACTIVE).tolist()
+            joined = status == engine._JOINED
+            assert not (joined[rows] & joined[g.indices]).any()  # independent
+            dominated_by_joiner = np.zeros(g.node_count, dtype=bool)
+            dominated_by_joiner[rows[joined[g.indices]]] = True
+            assert dominated_by_joiner[status == engine._DOMINATED].all()
+            # active -> joined or dominated, and nothing else ever moves
+            assert (status[before != engine._ACTIVE] == before[before != engine._ACTIVE]).all()
+            before = status.copy()
 
 
 class TestReferenceEngine:

@@ -205,6 +205,23 @@ class TestGraphConstruction:
             with pytest.raises(InvalidParameter):
                 path_graph(3).neighbours(v)
 
+    @pytest.mark.parametrize("edges", [[(0.7, 2)], [(0, 1, 2, 3)], [(0, 1, 2)], [(0, 1), (2,)],
+                                       [(0, 1.0)], [(True, False)], [("0", "1")], [0, 1]],
+                             ids=["float", "quadruple", "triple", "ragged", "mixed-float", "bool",
+                                  "str", "flat"])
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges):
+        # none of these may be truncated to an edge or regrouped into pairs
+        with pytest.raises(InvalidParameter, match="pairs of integers"):
+            Graph(4, edges)
+
+    def test_accepts_empty_numpy_and_generator_edges(self):
+        assert Graph(4, []) == Graph(4, np.empty((0, 2))) == Graph(4)
+        expected = path_graph(4)
+        assert Graph(4, np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int32)) == expected
+        assert Graph(4, np.array([[0, 1], [1, 2], [2, 3]], dtype=np.uint16)) == expected
+        assert Graph(4, ((v, v + 1) for v in range(3))) == expected
+        assert Graph(4, [(np.int64(0), 1), (1, np.int8(2)), (2, 3)]) == expected
+
     def test_masks_match_adjacency(self):
         g = Graph(5, [(0, 1), (0, 4), (2, 3)])
         masks = g.adjacency_masks()

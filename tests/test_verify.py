@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +71,17 @@ class TestCheckMis:
     def test_rejects_huge_id(self):
         with pytest.raises(InvalidParameter, match=f"candidate node {2**70} out of range"):
             check_mis(path_graph(3), [2**70])
+
+    @pytest.mark.parametrize("candidate", [{1.7}, [0, 2.0], {True}, [0, 2, False], ["1"], [None]],
+                             ids=["float", "integral-float", "bool", "bool-among-ints", "str", "none"])
+    def test_rejects_non_integer_ids(self, candidate):
+        # 1.7 would be truncated to node 1, True read as node 1
+        with pytest.raises(InvalidParameter, match="is not an integer"):
+            check_mis(path_graph(3), candidate)
+
+    def test_accepts_numpy_integer_ids(self):
+        assert check_mis(path_graph(3), [np.int64(0), np.uint8(2)]).ok
+        assert check_mis(path_graph(3), np.array([1], dtype=np.int32)).ok
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
