@@ -12,12 +12,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Callable
 
 from . import engine
-from .errors import BeepMISError, InvalidParameter, TooLarge
+from .errors import BeepMISError, InvalidParameter, TooLarge, as_int
 from .graph import (
     Graph,
     clique_family,
@@ -67,12 +67,9 @@ class _Parser(argparse.ArgumentParser):
 def _size(text: str) -> int:
     """argparse type of --n and --m: an integer of at least 1, so the error names the flag."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        return as_int(int(text), "value", 1)
+    except ValueError as exc:  # InvalidParameter is one
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -200,14 +197,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     Rows come back graph-major, then policy-major, then sorted by (n,
     trial), so the result does not depend on how trials were scheduled.
     """
-    # Every count is checked before any graph is resolved or built.
+    # Every count is checked before any graph is resolved or built; the tasks carry Python ints.
     for label in ("policies", "graphs", "n_values"):
         if not getattr(spec, label):
             raise InvalidParameter(f"{label} must not be empty")
-    counts = [("trials", spec.trials), ("jobs", jobs), ("max_rounds", spec.max_rounds)]
-    for label, value in counts + [("n values", n) for n in spec.n_values]:
-        if value is not None and value < 1:
-            raise InvalidParameter(f"{label} must be >= 1, got {value}")
+    spec = replace(spec, trials=as_int(spec.trials, "trials", 1),
+                   max_rounds=None if spec.max_rounds is None else as_int(spec.max_rounds, "max_rounds", 1),
+                   n_values=tuple(as_int(n, "n values", 1) for n in spec.n_values))
+    jobs = as_int(jobs, "jobs", 1)
     rows = len(spec.policies) * len(spec.graphs) * len(spec.n_values) * spec.trials
     if rows > _ROW_BUDGET:
         raise TooLarge(f"batch of {rows} rows, over the budget of {_ROW_BUDGET}")

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import as_int
 from .graph import Graph
 from .policy import LocalFeedback
 from .seeding import MASK64
@@ -87,7 +87,7 @@ class _State:
 
 def default_max_rounds(node_count: int) -> int:
     """Round cap far above the observed quadratic-log ceiling: 64*ceil(log2(n+2))^2 + 64."""
-    return 64 * (node_count + 1).bit_length() ** 2 + 64
+    return 64 * (as_int(node_count, "node_count", 0) + 1).bit_length() ** 2 + 64
 
 
 def _new_state(graph: Graph, policy) -> _State:
@@ -186,7 +186,7 @@ def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
     generator is reseeded in place, so the returned callable is valid until
     the next ``_batched_draws`` call in the same thread.
     """
-    masked = int(seed) & MASK64
+    masked = as_int(seed, "seed") & MASK64
     words = [(masked >> shift) & 0xFFFF_FFFF for shift in range(0, max(masked.bit_length(), 1), 32)]
     rs = getattr(_generators, "rs", None)
     if rs is None:
@@ -247,12 +247,11 @@ def run(graph: Graph, policy, seed: int, max_rounds: int | None = None,
     """Run the protocol to termination or the round cap.
 
     Deterministic in (graph, policy configuration, seed, max_rounds); the
-    seed is taken as a 64-bit word.
+    seed must be an integer, and is taken as a 64-bit word.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(graph.node_count)
-    if not isinstance(max_rounds, (int, np.integer)) or isinstance(max_rounds, bool) or max_rounds < 1:
-        raise InvalidParameter(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
+    max_rounds = as_int(max_rounds, "max_rounds", 1)
     state = _new_state(graph, policy)
     draw = _batched_draws(seed)
     trace: list[RoundOutcome] | None = [] if keep_trace else None

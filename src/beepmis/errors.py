@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one integer rule of every count, size, seed and node id,
+:func:`as_int`: a Python or numpy integer is taken; anything else, bool and 3.0 too, is refused."""
+
+import operator
+
+import numpy as np
 
 
 class BeepMISError(Exception):
@@ -25,3 +30,28 @@ class TooLarge(BeepMISError, ValueError):
 
 class EmptySample(BeepMISError, ValueError):
     """A statistic was requested over zero records."""
+
+
+def as_int(value, label: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int, refused unless it is an integer of at least ``minimum``."""
+    integer = type(value) is not bool and isinstance(value, (int, np.integer))
+    if not integer or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameter(f"{label} must be an integer{bound}, got {value!r}")
+    return operator.index(value)
+
+
+def as_node_ids(values, label: str, node_count: int) -> np.ndarray:
+    """``values`` (any nesting) as an int64 array of ids in [0, node_count); an
+    ndarray is judged by its dtype alone, anything else by :func:`as_int` per element."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(list(values), dtype=object)
+        for example in dict(zip(map(type, values.flat), values.flat)).values():
+            as_int(example, label)  # one element of each type
+    elif values.size and values.dtype.kind not in "iu":
+        raise InvalidParameter(f"{label} must be an integer, got an array of {values.dtype}")
+    # Before the cast: a negative id would wrap around, an int past 2^63 would overflow.
+    outside = (values < 0) | (values >= node_count)
+    if outside.any():
+        raise InvalidParameter(f"{label} {values[outside][0]} out of range for {node_count} nodes")
+    return values.astype(np.int64)

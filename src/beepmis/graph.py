@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, TooLarge
+from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids
 from .seeding import MASK64
 
 # Most cells a graph build may allocate: one per node, or one per node pair
@@ -43,23 +43,16 @@ class Graph:
     __slots__ = ("_indptr", "_indices")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(node_count, int) or isinstance(node_count, bool) or node_count < 0:
-            raise InvalidParameter(f"node_count must be a nonnegative integer, got {node_count!r}")
+        node_count = as_int(node_count, "node_count", 0)
         _check_cells(node_count, f"graph on {node_count} nodes")
         # Anything but (u, v) integer pairs is refused, not truncated or regrouped.
-        try:
-            pairs = np.array(list(edges))
-        except ValueError:  # pairs of unequal lengths
-            pairs = None
-        if pairs is None or pairs.size and (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"):
+        pairs = as_node_ids(edges, "edge endpoint", node_count)
+        if pairs.size and pairs.shape[1:] != (2,):
             raise InvalidParameter("edges must be (u, v) pairs of integers")
-        pairs = pairs.astype(np.int64).reshape(-1, 2)
-        bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
-        if bad.any():
-            u, v = pairs[np.argmax(bad)].tolist()
-            if u == v and 0 <= u < node_count:
-                raise InvalidParameter(f"self-loop ({u}, {v}) not allowed")
-            raise InvalidParameter(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        pairs = pairs.reshape(-1, 2)
+        loops = pairs[pairs[:, 0] == pairs[:, 1]].tolist()
+        if loops:
+            raise InvalidParameter(f"self-loop ({loops[0][0]}, {loops[0][1]}) not allowed")
         # Both orientations of every edge, sorted by (row, column), duplicates dropped.
         keys = np.unique(np.concatenate([pairs[:, 0] * node_count + pairs[:, 1],
                                          pairs[:, 1] * node_count + pairs[:, 0]]))
@@ -173,8 +166,7 @@ def _cliques(sizes: range, copies: int = 1) -> Graph:
 
 def complete_graph(d: int) -> Graph:
     """Complete graph on d nodes (every pair adjacent)."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidParameter(f"complete_graph requires d >= 1, got {d!r}")
+    d = as_int(d, "complete_graph d", 1)
     return _cliques(range(d, d + 1))
 
 
@@ -184,8 +176,7 @@ def clique_family(m: int) -> Graph:
     Blocks are laid out consecutively, d ascending and copy index ascending,
     giving m*m components and m*m*(m+1)/2 nodes in total.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameter(f"clique_family requires m >= 1, got {m!r}")
+    m = as_int(m, "clique_family m", 1)
     return _cliques(range(1, m + 1), m)
 
 
@@ -200,12 +191,11 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     ``Generator.random() < p_edge``, but with no Generator method, whose
     stream numpy does not promise to keep.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"erdos_renyi requires n >= 1, got {n!r}")
+    n = as_int(n, "erdos_renyi n", 1)
     if not 0.0 <= p_edge <= 1.0:
         raise InvalidParameter(f"p_edge must be in [0, 1], got {p_edge!r}")
     _check_cells(n * n, f"G(n, p) on {n} nodes")
-    words = np.random.PCG64(int(seed) & MASK64).random_raw(n * (n - 1) // 2)
+    words = np.random.PCG64(as_int(seed, "seed") & MASK64).random_raw(n * (n - 1) // 2)
     words >>= 11
     # The dense upper triangle, filled row by row in draw order, then
     # mirrored; its nonzero positions in row-major order are CSR order.
@@ -222,8 +212,7 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Rectangular grid: node (r, c) at index r*cols + c, 4-neighbour adjacency."""
-    if not isinstance(rows, int) or rows < 1 or not isinstance(cols, int) or cols < 1:
-        raise InvalidParameter(f"grid_graph requires rows, cols >= 1, got {rows!r}, {cols!r}")
+    rows, cols = as_int(rows, "grid_graph rows", 1), as_int(cols, "grid_graph cols", 1)
     _check_cells(rows * cols, f"{rows}x{cols} grid")
     v = np.arange(rows * cols)
     r, c = np.divmod(v, cols)
@@ -236,9 +225,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """Path 0 - 1 - ... - (n-1)."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"path_graph requires n >= 1, got {n!r}")
-    return grid_graph(1, n)
+    return grid_graph(1, as_int(n, "path_graph n", 1))
 
 
 def parse_edge_list(text: str) -> Graph:

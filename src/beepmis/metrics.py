@@ -8,7 +8,7 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import EmptySample, InvalidParameter
+from .errors import EmptySample, InvalidParameter, ParseError, as_int
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,7 @@ def filter_terminated(records: Iterable[TrialRecord]) -> list[TrialRecord]:
 
 def reference_curves(n: int) -> tuple[float, float, float]:
     """Reference values (log2 n, (log2 n)^2, 2.5 * log2 n) for scaling plots."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameter(f"reference_curves requires n >= 2, got {n!r}")
-    log2n = math.log2(n)
+    log2n = math.log2(as_int(n, "reference_curves n", 2))
     return log2n, log2n * log2n, 2.5 * log2n
 
 
@@ -104,7 +102,7 @@ CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
 # How a column of each field type is written and read back.  The annotations
 # are strings here (postponed evaluation), so the tables are keyed by name.
 _WRITE = {"str": str, "int": str, "float": format_float, "bool": lambda b: "true" if b else "false"}
-_READ = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
+_READ = {"str": str, "int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
 _COLUMN_TYPES = tuple(f.type for f in fields(TrialRecord))
 
 
@@ -122,7 +120,7 @@ def write_records(path: str, records: Iterable[TrialRecord]) -> None:
 
 
 def read_records(path: str) -> list[TrialRecord]:
-    """Read back a CSV written by write_records."""
+    """Read back a CSV written by write_records; any other row raises ParseError with its line."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -130,5 +128,8 @@ def read_records(path: str) -> list[TrialRecord]:
         if header != list(CSV_HEADER):
             raise InvalidParameter(f"unexpected CSV header {header!r}")
         for row in reader:
-            records.append(TrialRecord(*(_READ[kind](text) for kind, text in zip(_COLUMN_TYPES, row))))
+            try:  # a wrong field count, boolean or number
+                records.append(TrialRecord(*(_READ[k](t) for k, t in zip(_COLUMN_TYPES, row, strict=True))))
+            except (KeyError, ValueError):
+                raise ParseError(f"malformed row {row!r}", reader.line_num) from None
     return records

@@ -16,7 +16,7 @@ from math import isqrt, ldexp
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, as_int
 
 # Floor for every adjustment factor, so probabilities stay strictly positive
 # and never become subnormal even on adversarially long runs.
@@ -74,8 +74,7 @@ def sweep_phase_position(step: int) -> tuple[int, int]:
     exactly with an integer square root.  Returns (phase, position) where
     position counts 0..k within the phase.
     """
-    if not isinstance(step, int) or step < 1:
-        raise InvalidParameter(f"sweep step must be a positive integer, got {step!r}")
+    step = as_int(step, "sweep step", 1)
     k = (isqrt(8 * step + 1) - 1) // 2
     start = 1 + (k - 1) * (k + 2) // 2
     return k, step - start

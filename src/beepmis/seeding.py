@@ -9,6 +9,8 @@ overlap.
 
 from __future__ import annotations
 
+from .errors import as_int
+
 MASK64 = (1 << 64) - 1
 
 # Salts for the per-trial sub-streams; arbitrary odd 64-bit constants.
@@ -18,7 +20,7 @@ _RUN_SALT = 0x4CF5_AD43_2745_937F
 
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (public domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = (as_int(x, "splitmix64 x") + 0x9E3779B97F4A7C15) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
@@ -31,9 +33,9 @@ def stable_mix(master_seed: int, n: int, trial_index: int) -> int:
     all words taken mod 2^64.  The chaining is asymmetric, so swapping n and
     t yields unrelated seeds.
     """
-    h = splitmix64(master_seed & MASK64)
-    h = splitmix64(h ^ (n & MASK64))
-    return splitmix64(h ^ (trial_index & MASK64))
+    h = splitmix64(as_int(master_seed, "master_seed") & MASK64)
+    h = splitmix64(h ^ (as_int(n, "n") & MASK64))
+    return splitmix64(h ^ (as_int(trial_index, "trial_index") & MASK64))
 
 
 def graph_seed(trial_seed: int) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, TooLarge
+from .errors import TooLarge, as_node_ids
 from .graph import Graph
 
 _ENUMERATION_LIMIT = 20
@@ -40,18 +40,8 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
     arrays.
     """
     n = graph.node_count
-    values = list(candidate)
-    # A float id would be truncated to some node and a bool read as node 0 or 1.
-    strays = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
-    if strays:
-        v = next(v for v in values if type(v) in strays)
-        raise InvalidParameter(f"candidate node {v!r} is not an integer")
-    # Range-check before indexing: a negative id would wrap around.
-    if values and not (0 <= min(values) and max(values) < n):
-        v = next(v for v in values if not 0 <= v < n)
-        raise InvalidParameter(f"candidate node {v} out of range for {n} nodes")
     members = np.zeros(n, dtype=bool)
-    members[np.array(values, dtype=np.int64)] = True
+    members[as_node_ids(candidate, "candidate node", n)] = True
     indptr, indices = graph.indptr, graph.indices
     # Entries in CSR order, (v, u) for v ascending and u ascending within a
     # row, so the first flagged entry is the first violation.

@@ -299,11 +299,11 @@ class TestExperiment:
 
     @pytest.mark.parametrize("case, message", [
         (["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "64", "--trials", "3",
-          "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
-        (["lowerbound", "--m", "0", "--trials", "2"], "argument --m: must be >= 1, got 0"),
+          "--max-rounds", "0"], "max_rounds must be an integer >= 1, got 0"),
+        (["lowerbound", "--m", "0", "--trials", "2"], "argument --m: value must be an integer >= 1, got 0"),
         (["experiment", "--graph", "er:0.5", "--policy", "feedback", "--n", "64", "0", "--trials", "3"],
-         "argument --n: must be >= 1, got 0"),
-        (["reproduce-fig3", "--n", "0"], "argument --n: must be >= 1, got 0"),
+         "argument --n: value must be an integer >= 1, got 0"),
+        (["reproduce-fig3", "--n", "0"], "argument --n: value must be an integer >= 1, got 0"),
         (ExperimentSpec((), "er:0.5", (8,), 2, 1), "policies must not be empty"),
         (ExperimentSpec("feedback", (), (8,), 2, 1), "graphs must not be empty"),
         (ExperimentSpec("feedback", "bogus", (), 2, 1), "n_values must not be empty"),
@@ -330,7 +330,7 @@ class TestExperiment:
         code = main(["experiment", "--graph", "path", "--policy", "sweep", "--n", "4",
                      "--trials", "1", "--jobs", jobs, "--output", str(out)])
         assert code == EXIT_USAGE
-        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
         assert len(runs) == 0
         assert not out.exists()
 

@@ -205,14 +205,29 @@ class TestGraphConstruction:
             with pytest.raises(InvalidParameter):
                 path_graph(3).neighbours(v)
 
-    @pytest.mark.parametrize("edges", [[(0.7, 2)], [(0, 1, 2, 3)], [(0, 1, 2)], [(0, 1), (2,)],
-                                       [(0, 1.0)], [(True, False)], [("0", "1")], [0, 1]],
-                             ids=["float", "quadruple", "triple", "ragged", "mixed-float", "bool",
-                                  "str", "flat"])
-    def test_rejects_edges_that_are_not_integer_pairs(self, edges):
+    @pytest.mark.parametrize("edges, message", [
+        ([(0.7, 2)], "edge endpoint must be an integer, got 0.7"),
+        ([(0, 1, 2, 3)], "pairs of integers"),
+        ([(0, 1, 2)], "pairs of integers"),
+        ([(0, 1), (2,)], r"edge endpoint must be an integer, got \(2,\)"),
+        ([(0, 1.0)], "edge endpoint must be an integer, got 1.0"),
+        ([(True, False)], "edge endpoint must be an integer, got"),
+        ([(True, 2)], "edge endpoint must be an integer, got True"),
+        ([(np.True_, 2)], "edge endpoint must be an integer, got"),
+        ([("0", "1")], "edge endpoint must be an integer, got '1'"),
+        ([0, 1], "pairs of integers"),
+        (np.array([[0.0, 1.0]]), "edge endpoint must be an integer, got an array of float64"),
+        (np.array([[True, False]]), "edge endpoint must be an integer, got an array of bool"),
+    ], ids=["float", "quadruple", "triple", "ragged", "mixed-float", "bool", "bool-among-ints",
+            "numpy-bool-among-ints", "str", "flat", "float-array", "bool-array"])
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges, message):
         # none of these may be truncated to an edge or regrouped into pairs
-        with pytest.raises(InvalidParameter, match="pairs of integers"):
+        with pytest.raises(InvalidParameter, match=message):
             Graph(4, edges)
+
+    def test_rejects_out_of_range_endpoint_past_int64(self):
+        with pytest.raises(InvalidParameter, match=f"edge endpoint {2**70} out of range for 4 nodes"):
+            Graph(4, [(0, 2**70)])
 
     def test_accepts_empty_numpy_and_generator_edges(self):
         assert Graph(4, []) == Graph(4, np.empty((0, 2))) == Graph(4)

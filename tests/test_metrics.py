@@ -9,6 +9,7 @@ from beepmis import (
     EmptySample,
     InvalidParameter,
     LocalFeedback,
+    ParseError,
     TrialRecord,
     complete_graph,
     filter_terminated,
@@ -124,6 +125,23 @@ class TestRecords:
         path = tmp_path / "out.csv"
         write_records(str(path), [make_record(beeps_per_node=1.2345678901)])
         assert "1.23457" in path.read_text()
+
+    @pytest.mark.parametrize("change", [
+        lambda row: row + ",7",  # an extra column
+        lambda row: row.rsplit(",", 1)[0],  # a short row
+        lambda row: row.replace(",true,", ",True,"),  # a boolean other than true/false
+        lambda row: row.replace(",4,true,", ",3.0,true,"),  # a float in an int column
+        lambda row: row.replace(",1.5,", ",fast,"),  # a float column that does not parse
+    ], ids=["extra-column", "short-row", "bool", "int-column", "float-column"])
+    def test_read_rejects_malformed_row_with_its_line(self, change, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_records(str(path), [make_record(trial=0), make_record(trial=1)])
+        header, first, second = path.read_text().splitlines()
+        assert change(second) != second
+        path.write_text("\n".join([header, first, change(second)]) + "\n")
+        with pytest.raises(ParseError, match="^line 3: ") as info:
+            read_records(str(path))
+        assert info.value.line == 3
 
     def test_read_rejects_alien_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -76,7 +76,7 @@ class TestCheckMis:
                              ids=["float", "integral-float", "bool", "bool-among-ints", "str", "none"])
     def test_rejects_non_integer_ids(self, candidate):
         # 1.7 would be truncated to node 1, True read as node 1
-        with pytest.raises(InvalidParameter, match="is not an integer"):
+        with pytest.raises(InvalidParameter, match="candidate node must be an integer, got"):
             check_mis(path_graph(3), candidate)
 
     def test_accepts_numpy_integer_ids(self):
