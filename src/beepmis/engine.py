@@ -37,7 +37,7 @@ import numpy as np
 from .errors import as_int
 from .graph import Graph
 from .policy import LocalFeedback
-from .seeding import MASK64
+from .seeding import seed_word
 
 _ACTIVE, _JOINED, _DOMINATED = 0, 1, 2  # node status codes; zeros start a run
 
@@ -176,7 +176,7 @@ _generators = threading.local()
 
 
 def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
-    """k -> the next k doubles of ``random.Random(seed & MASK64).random()``.
+    """k -> the next k doubles of ``random.Random(seed_word(seed)).random()``.
 
     CPython and numpy share the MT19937 generator, its ``init_by_array``
     seeding and the 53-bit ``genrand_res53`` conversion.  CPython seeds from
@@ -186,7 +186,7 @@ def _batched_draws(seed: int) -> Callable[[int], np.ndarray]:
     generator is reseeded in place, so the returned callable is valid until
     the next ``_batched_draws`` call in the same thread.
     """
-    masked = as_int(seed, "seed") & MASK64
+    masked = seed_word(seed)
     words = [(masked >> shift) & 0xFFFF_FFFF for shift in range(0, max(masked.bit_length(), 1), 32)]
     rs = getattr(_generators, "rs", None)
     if rs is None:

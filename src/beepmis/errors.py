@@ -1,5 +1,12 @@
-"""Exception types, and the one integer rule of every count, size, seed and node id,
-:func:`as_int`: a Python or numpy integer is taken; anything else, bool and 3.0 too, is refused."""
+"""Exception types, and the two type rules of every argument from outside.
+
+The integer rule of every count, size, seed and node id, :func:`as_int`: a
+Python or numpy integer is taken; anything else, bool and 3.0 too, is refused.
+The real-number rule of every probability and factor, :func:`as_real`: a
+Python or numpy integer or float is taken as the equal float; a bool, a
+string, None, a complex number or an array is refused.  Each caller checks
+the range itself.
+"""
 
 import operator
 
@@ -39,6 +46,17 @@ def as_int(value, label: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidParameter(f"{label} must be an integer{bound}, got {value!r}")
     return operator.index(value)
+
+
+def as_real(value, label: str) -> float:
+    """``value`` as the equal Python float, refused unless it is a real number
+    that a float holds (an int past the double range has no equal float)."""
+    if type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidParameter(f"{label} must be a real number, got {value!r}")
 
 
 def as_node_ids(values, label: str, node_count: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids
-from .seeding import MASK64
+from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real
+from .seeding import seed_word
 
 # Most cells a graph build may allocate: one per node, or one per node pair
 # for the dense builders (G(n, p) and cliques).  16 times the largest input in
@@ -53,9 +53,13 @@ class Graph:
         loops = pairs[pairs[:, 0] == pairs[:, 1]].tolist()
         if loops:
             raise InvalidParameter(f"self-loop ({loops[0][0]}, {loops[0][1]}) not allowed")
-        # Both orientations of every edge, sorted by (row, column), duplicates dropped.
-        keys = np.unique(np.concatenate([pairs[:, 0] * node_count + pairs[:, 1],
-                                         pairs[:, 1] * node_count + pairs[:, 0]]))
+        # Both orientations of every edge, sorted by (row, column), duplicates
+        # dropped (a sort and a neighbour mask: np.unique hashes, many times slower).
+        keys = np.sort(np.concatenate([pairs[:, 0] * node_count + pairs[:, 1],
+                                       pairs[:, 1] * node_count + pairs[:, 0]]))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
         rows, indices = np.divmod(keys, max(node_count, 1))
         indptr = np.searchsorted(rows, np.arange(node_count + 1))
         self._indptr, self._indices = _frozen(indptr), _frozen(indices)
@@ -89,7 +93,7 @@ class Graph:
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         """The neighbours of v in increasing order, as Python ints."""
-        indptr = self._indptr
+        v, indptr = as_int(v, "node"), self._indptr
         if not 0 <= v < len(indptr) - 1:
             raise InvalidParameter(f"node {v} out of range for {self.node_count} nodes")
         return tuple(self._indices[indptr[v]:indptr[v + 1]].tolist())
@@ -191,11 +195,11 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     ``Generator.random() < p_edge``, but with no Generator method, whose
     stream numpy does not promise to keep.
     """
-    n = as_int(n, "erdos_renyi n", 1)
+    n, p_edge = as_int(n, "erdos_renyi n", 1), as_real(p_edge, "p_edge")
     if not 0.0 <= p_edge <= 1.0:
         raise InvalidParameter(f"p_edge must be in [0, 1], got {p_edge!r}")
     _check_cells(n * n, f"G(n, p) on {n} nodes")
-    words = np.random.PCG64(as_int(seed, "seed") & MASK64).random_raw(n * (n - 1) // 2)
+    words = np.random.PCG64(seed_word(seed)).random_raw(n * (n - 1) // 2)
     words >>= 11
     # The dense upper triangle, filled row by row in draw order, then
     # mirrored; its nonzero positions in row-major order are CSR order.

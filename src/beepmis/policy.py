@@ -16,7 +16,7 @@ from math import isqrt, ldexp
 
 import numpy as np
 
-from .errors import InvalidParameter, as_int
+from .errors import InvalidParameter, as_int, as_real
 
 # Floor for every adjustment factor, so probabilities stay strictly positive
 # and never become subnormal even on adversarially long runs.
@@ -41,15 +41,15 @@ class LocalFeedback:
     """
 
     def __init__(self, factor: float = 2.0, initial: float = 0.5, cap: float = 0.5):
+        self.factor = factor = as_real(factor, "adjustment factor")
+        self.initial = initial = as_real(initial, "initial probability")
+        self.cap = cap = as_real(cap, "probability cap")
         if not factor > 1.0:
             raise InvalidParameter(f"adjustment factor must be > 1, got {factor!r}")
         if not 0.0 < cap < 1.0:
             raise InvalidParameter(f"probability cap must be in (0, 1), got {cap!r}")
         if not _MIN_PROBABILITY <= initial <= cap:
             raise InvalidParameter(f"initial probability must be in [2^-64, cap], got {initial!r}")
-        self.factor = float(factor)
-        self.initial = float(initial)
-        self.cap = float(cap)
 
     @property
     def name(self) -> str:
@@ -122,9 +122,9 @@ class Constant(Schedule):
     """Control policy: every node beeps with the same fixed probability."""
 
     def __init__(self, probability: float):
+        self.probability = probability = as_real(probability, "probability")
         if not 0.0 < probability <= 1.0:
             raise InvalidParameter(f"probability must be in (0, 1], got {probability!r}")
-        self.probability = float(probability)
 
     @property
     def name(self) -> str:

@@ -1,14 +1,19 @@
-"""The integer rule at every public entry point that takes a count, size or seed.
+"""The integer rule at every public entry point that takes a count, size, seed
+or node id, and the real-number rule at every one that takes a probability or
+factor.
 
-A bool, a float (3.0 too) or a string is refused with InvalidParameter, never
-truncated or read as 0 or 1; a numpy integer gives exactly what the equal
-Python int gives.
+A bool, a float (3.0 too) or a string is refused as an integer with
+InvalidParameter, never truncated or read as 0 or 1; a numpy integer gives
+exactly what the equal Python int gives.  A bool, a string, None, a complex
+number, an array or an int past the double range is refused as a real number; a numpy float, or a Python
+int, gives exactly what the equal Python float gives.
 """
 
 import numpy as np
 import pytest
 
 from beepmis import (
+    Constant,
     GlobalSweep,
     Graph,
     InvalidParameter,
@@ -46,6 +51,7 @@ ENTRY_POINTS = {
     "grid_graph-rows": lambda v: grid_graph(v, 2),
     "grid_graph-cols": lambda v: grid_graph(2, v),
     "path_graph": path_graph,
+    "neighbours": G.neighbours,
     "erdos_renyi-n": lambda v: erdos_renyi(v, 0.5, 7),
     "erdos_renyi-seed": lambda v: erdos_renyi(16, 0.5, v),
     "run-seed": lambda v: run(G, LocalFeedback(), v),
@@ -77,3 +83,40 @@ def test_refuses_non_integers(entry, value):
 @pytest.mark.parametrize("kind", [np.int64, np.uint32])
 def test_numpy_integers_equal_python_ints(entry, kind):
     assert entry(kind(3)) == entry(3)
+
+
+# Each entry point with the tested argument as its only free one, and a dyadic
+# value valid there, which np.float32 holds exactly.
+REAL_ENTRY_POINTS = {
+    "Constant": (lambda v: Constant(v).name, 0.25),
+    "LocalFeedback-factor": (lambda v: LocalFeedback(factor=v).name, 3.0),
+    "LocalFeedback-initial": (lambda v: LocalFeedback(initial=v).name, 0.25),
+    "LocalFeedback-cap": (lambda v: LocalFeedback(initial=0.125, cap=v).name, 0.25),
+    "erdos_renyi-p_edge": (lambda v: erdos_renyi(16, v, 7), 0.25),
+}
+REAL_ENTRIES = [entry for entry, _ in REAL_ENTRY_POINTS.values()]
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES, ids=REAL_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 0.5j, np.array(0.25), 10**400],
+                         ids=["bool", "numpy-bool", "str", "none", "complex", "0-d-array",
+                              "int-past-double"])
+def test_refuses_non_reals(entry, value):
+    with pytest.raises(InvalidParameter, match="must be a real number"):
+        entry(value)
+
+
+@pytest.mark.parametrize(("entry", "value"), REAL_ENTRY_POINTS.values(), ids=REAL_ENTRY_POINTS)
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+def test_numpy_floats_equal_python_floats(entry, value, kind):
+    assert entry(kind(value)) == entry(value)
+
+
+@pytest.mark.parametrize(("entry", "value"), [
+    (REAL_ENTRY_POINTS["Constant"][0], 1),
+    (REAL_ENTRY_POINTS["LocalFeedback-factor"][0], 3),
+    (REAL_ENTRY_POINTS["erdos_renyi-p_edge"][0], 0),
+    (REAL_ENTRY_POINTS["erdos_renyi-p_edge"][0], 1),
+], ids=["Constant", "LocalFeedback-factor", "erdos_renyi-p_edge-0", "erdos_renyi-p_edge-1"])
+def test_python_ints_equal_python_floats(entry, value):
+    assert entry(value) == entry(float(value))
