@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Callable
 
 from . import engine
-from .errors import BeepMISError, InvalidParameter, TooLarge, as_int
+from .errors import BeepMISError, InvalidParameter, ParseError, TooLarge, as_int
 from .graph import (
     Graph,
     clique_family,
@@ -28,10 +28,12 @@ from .graph import (
     path_graph,
 )
 from .metrics import (
+    CSV_HEADER,
     TrialRecord,
     filter_terminated,
     format_float,
     record_from_run,
+    record_to_row,
     reference_curves,
     summarize,
     write_records,
@@ -99,27 +101,26 @@ class ExperimentSpec:
 class GraphHead:
     """One head of the graph grammar, e.g. ``er`` or ``grid``; see parse_graph."""
 
-    sized: tuple[tuple[str, type], ...]  # (label, type) per field
-    fixed: tuple[tuple[str, type], ...]
-    size: Callable[[int], tuple]         # n -> sized values
-    build: Callable[..., Graph]          # (*values, seed) -> Graph
-    param: Callable[..., str]            # (*values) -> CSV param column
+    fields: tuple[tuple[str, type], ...]  # (label, type) per field, in single-run order
+    size: Callable[[int], tuple]          # n -> values of the leading size fields
+    build: Callable[..., Graph]           # (*values, seed) -> Graph
+    param: Callable[..., str]             # (*values) -> CSV param column
 
 
 # The builders are looked up by name when called, not stored, so a caller that
 # replaces a module attribute (e.g. to time it) reaches every graph build.
 _GRAPH_HEADS = {
-    "er": GraphHead((("er node count", int),), (("er edge probability", float),), lambda n: (n,),
+    "er": GraphHead((("er node count", int), ("er edge probability", float)), lambda n: (n,),
                     lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p)),
-    "grid": GraphHead((("rows", int), ("cols", int)), (), lambda n: (isqrt(n - 1) + 1,) * 2,
+    "grid": GraphHead((("rows", int), ("cols", int)), lambda n: (isqrt(n - 1) + 1,) * 2,
                       lambda r, c, seed: grid_graph(r, c), lambda r, c: f"{r}x{c}"),
-    "clique": GraphHead((("clique size", int),), (), lambda n: (n,),
+    "clique": GraphHead((("clique size", int),), lambda n: (n,),
                         lambda d, seed: complete_graph(d), str),
-    "cliquefam": GraphHead((("family parameter", int),), (), lambda n: (n,),
+    "cliquefam": GraphHead((("family parameter", int),), lambda n: (n,),
                            lambda m, seed: clique_family(m), str),
-    "path": GraphHead((("path length", int),), (), lambda n: (n,),
+    "path": GraphHead((("path length", int),), lambda n: (n,),
                       lambda n, seed: path_graph(n), lambda n: ""),
-    "file": GraphHead((), (("path", str),), lambda n: (),
+    "file": GraphHead((("path", str),), lambda n: (),
                       lambda path, seed: _load_graph_file(path), os.path.basename),
 }
 
@@ -127,12 +128,13 @@ _GRAPH_HEADS = {
 def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]:
     """Resolve a graph spec to its head's name, the head and the typed values.
 
-    Without n, spec is in the single-run grammar, which gives the sized
-    fields and then the fixed ones: ``er:<n>,<p>`` | ``grid:<r>,<c>`` |
-    ``clique:<d>`` | ``cliquefam:<m>`` | ``path:<n>`` | ``file:<path>``.
-    With n, spec is in the experiment grammar, which gives the fixed fields
-    only: ``er:<p>`` | ``grid`` | ``clique`` | ``cliquefam`` | ``path`` |
-    ``file:<path>``; ``head.size(n)`` goes in front of them.  n is the node
+    Without n, spec is in the single-run grammar, which gives every field of
+    the head: ``er:<n>,<p>`` | ``grid:<r>,<c>`` | ``clique:<d>`` |
+    ``cliquefam:<m>`` | ``path:<n>`` | ``file:<path>``.  With n, spec is in
+    the experiment grammar: an experiment spec at n is the single-run spec
+    with its size fields written out, so ``head.size(n)`` gives the leading
+    fields and spec the rest: ``er:<p>`` | ``grid`` | ``clique`` |
+    ``cliquefam`` | ``path`` | ``file:<path>``.  n is the node
     count for er and path, the clique size, the family parameter m, or the
     side of the smallest square grid with at least n nodes; a file ignores
     it.  Either way the graph is ``head.build(*values, seed)``, its CSV
@@ -142,7 +144,8 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
     head = _GRAPH_HEADS.get(name)
     if head is None:
         raise InvalidParameter(f"unknown graph {spec!r}")
-    fields = head.sized + head.fixed if n is None else head.fixed
+    sized = () if n is None else head.size(n)
+    fields = head.fields[len(sized):]
     texts = (rest.split(",") if len(fields) > 1 else [rest]) if sep else []
     if len(texts) != len(fields):
         labels = ",".join(label for label, _ in fields) or "no fields"
@@ -153,7 +156,7 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
             values.append(kind(text))
         except ValueError:
             raise InvalidParameter(f"{label} must be {kind.__name__}, got {text!r}") from None
-    return name, head, tuple(values) if n is None else head.size(n) + tuple(values)
+    return name, head, sized + tuple(values)
 
 
 def _load_graph_file(path: str) -> Graph:
@@ -184,11 +187,6 @@ def run_trial(spec: ExperimentSpec, n: int, trial: int) -> list[TrialRecord]:
             result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
             records.append(record_from_run(policy.name, name, param, trial, trial_seed, result))
     return records
-
-
-def _run_trial_task(task: tuple[ExperimentSpec, int, int]) -> list[TrialRecord]:
-    spec, n, trial = task
-    return run_trial(spec, n, trial)
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
@@ -224,11 +222,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     tasks = [(spec, n, trial) for n in sorted(spec.n_values, reverse=True) for trial in range(spec.trials)]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        per_trial = list(map(_run_trial_task, tasks))
+        per_trial = list(map(run_trial, *zip(*tasks)))
     else:
         chunk = max(1, len(tasks) // (workers * 32))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
+            per_trial = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
     # Column k of per_trial holds every trial of the k-th (graph, policy) pair;
     # each head's node count is one-to-one in its cell, so (n, trial) is unique there.
     return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]
@@ -271,18 +269,19 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return 0
 
 
+# The TrialRecord fields of run's result line, in its order; each is written as in the CSV.
+_RUN_LINE = ("policy", "graph", "n", "seed", "terminated", "rounds", "total_beeps", "beeps_per_node",
+             "mis_size")
+
+
 def cmd_run(args) -> int:
     master = _resolve_seed(args.seed)
     g = build_run_graph(args.graph, master)
     policy = parse_policy(args.policy)
     result = engine.run(g, policy, run_seed(master), args.max_rounds, keep_trace=args.trace)
-    beeps_per_node = result.total_beeps / g.node_count if g.node_count else 0.0
-    print(
-        f"policy={policy.name} graph={args.graph} n={g.node_count} seed={master}"
-        f" terminated={'true' if result.terminated else 'false'} rounds={result.rounds}"
-        f" total_beeps={result.total_beeps} beeps_per_node={format_float(beeps_per_node)}"
-        f" mis_size={len(result.mis)}"
-    )
+    record = record_from_run(policy.name, args.graph, "", 0, master, result)
+    row = dict(zip(CSV_HEADER, record_to_row(record)))
+    print(" ".join(f"{name}={row[name]}" for name in _RUN_LINE))
     if args.show_mis:
         print("mis=" + " ".join(str(v) for v in sorted(result.mis)))
     if args.trace and result.trace:
@@ -292,21 +291,18 @@ def cmd_run(args) -> int:
                 f" joined={sorted(outcome.joined_mis)}"
                 f" deactivated={sorted(outcome.newly_inactive)}"
             )
-    if result.terminated:
-        report = check_mis(g, result.mis)
-        if not report.ok:
-            _print_witnesses(report)
-            return EXIT_VERIFY_FAILED
-        return EXIT_OK
-    return EXIT_NOT_TERMINATED
+    return _report_mis(g, result.mis) if result.terminated else EXIT_NOT_TERMINATED
 
 
-def _print_witnesses(report) -> None:
+def _report_mis(g: Graph, candidate) -> int:
+    """Check candidate as an MIS of g, print the witnesses of a failure and return the exit code."""
+    report = check_mis(g, candidate)
     if report.witness_edge:
         u, v = report.witness_edge
         print(f"witness: edge ({u},{v})")
     if report.witness_vertex is not None:
         print(f"witness: vertex {report.witness_vertex} addable")
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def cmd_batch(args) -> int:
@@ -372,13 +368,11 @@ def cmd_verify(args) -> int:
             try:
                 candidate.add(int(text))
             except ValueError:
-                raise InvalidParameter(f"line {i}: set entries must be integers, got {raw!r}") from None
-    report = check_mis(g, candidate)
-    if report.ok:
+                raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
+    code = _report_mis(g, candidate)
+    if code == EXIT_OK:
         print(f"ok: independent maximal set of size {len(candidate)}")
-        return EXIT_OK
-    _print_witnesses(report)
-    return EXIT_VERIFY_FAILED
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,9 +45,9 @@ def stable_mix(master_seed: int, n: int, trial_index: int) -> int:
 
 def graph_seed(trial_seed: int) -> int:
     """Sub-seed that drives random graph sampling for one trial."""
-    return splitmix64(trial_seed ^ _GRAPH_SALT)
+    return splitmix64(seed_word(trial_seed, "trial seed") ^ _GRAPH_SALT)
 
 
 def run_seed(trial_seed: int) -> int:
     """Sub-seed that drives the protocol's beep draws for one trial."""
-    return splitmix64(trial_seed ^ _RUN_SALT)
+    return splitmix64(seed_word(trial_seed, "trial seed") ^ _RUN_SALT)

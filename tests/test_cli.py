@@ -1,5 +1,8 @@
 import argparse
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -50,8 +53,14 @@ class TestGraphGrammar:
         assert build_run_graph(f"file:{p}", 0).node_count == 3
 
     def test_bad_run_specs(self):
-        for bad in ("er:10", "grid:3", "wat:1", "path:x", "er:10,0.5,3", "path"):
-            with pytest.raises(InvalidParameter):
+        er_fields = "er takes er node count,er edge probability here"
+        for bad, message in (("er:5", f"{er_fields}, got 'er:5'"),
+                             ("grid:3", "grid takes rows,cols here, got 'grid:3'"),
+                             ("wat:1", "unknown graph 'wat:1'"),
+                             ("path:x", "path length must be int, got 'x'"),
+                             ("er:10,0.5,3", f"{er_fields}, got 'er:10,0.5,3'"),
+                             ("path", "path takes path length here, got 'path'")):
+            with pytest.raises(InvalidParameter, match=re.escape(message)):
                 build_run_graph(bad, 0)
 
     def test_family_specs(self):
@@ -66,10 +75,13 @@ class TestGraphGrammar:
         assert build_family("cliquefam", 3).node_count == 18
 
     def test_bad_family(self):
-        with pytest.raises(InvalidParameter):
-            parse_graph("er", 16)
-        with pytest.raises(InvalidParameter):
-            parse_graph("grid:2,3", 16)
+        # the size fields are written out from n, so only the rest are given
+        for bad, message in (("er", "er takes er edge probability here, got 'er'"),
+                             ("grid:2,3", "grid takes no fields here, got 'grid:2,3'"),
+                             ("grid:3", "grid takes no fields here, got 'grid:3'"),
+                             ("file", "file takes path here, got 'file'")):
+            with pytest.raises(InvalidParameter, match=re.escape(message)):
+                parse_graph(bad, 8)
 
     def test_grid_side_is_ceiling_square_root(self):
         for n in range(1, 300):
@@ -136,6 +148,14 @@ class TestCmdRun:
         code = main(["run", "--graph", "path:3", "--policy", "sweep", "--seed", "1"])
         assert code == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out.splitlines()[-1] == "witness: edge (0,1)"
+
+    def test_empty_graph_file(self, tmp_path, capsys):
+        # n = 0: no node beeps, and beeps per node is written as 0
+        p = tmp_path / "empty.el"
+        p.write_text("0 0\n")
+        assert main(["run", "--graph", f"file:{p}", "--policy", "feedback", "--seed", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == (f"policy=feedback graph=file:{p} n=0 seed=1 terminated=true"
+                                           " rounds=0 total_beeps=0 beeps_per_node=0 mis_size=0\n")
 
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["run", "--graph", "path:3", "--policy", "bogus"]) == EXIT_USAGE
@@ -385,8 +405,8 @@ class TestExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -435,6 +455,22 @@ class TestEntryPoints:
         assert len(builds) == 6 and len(runs) == 18
         assert [r.policy for r in records] == ["feedback"] * 6 + ["sweep"] * 6 + ["const:0.5"] * 6
         assert [(r.n, r.trial) for r in records[:6]] == [(n, t) for n in (8, 12) for t in range(3)]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--graph", "path:3", "--policy", "feedback", "--seed", "1"], EXIT_OK),
+        (["run", "--graph", "wat:1", "--policy", "feedback"], EXIT_USAGE),
+        (["run", "--graph", "path:50", "--policy", "feedback", "--seed", "1", "--max-rounds", "1"],
+         EXIT_NOT_TERMINATED),
+        (["verify", "triangle.el", "set.txt"], EXIT_VERIFY_FAILED),
+    ], ids=["ok", "usage", "not-terminated", "verify-failed"])
+    def test_process_exit_status(self, argv, code, tmp_path):
+        # the module run as a program exits with main's return value
+        (tmp_path / "triangle.el").write_text(TRIANGLE)
+        (tmp_path / "set.txt").write_text("0\n1\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "beepmis.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == code
 
 
 class TestLowerbound:

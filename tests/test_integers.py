@@ -30,8 +30,9 @@ from beepmis import (
     stable_mix,
     sweep_phase_position,
 )
-from beepmis.cli import ExperimentSpec, run_experiment
+from beepmis.cli import ExperimentSpec, build_run_graph, run_experiment
 from beepmis.metrics import record_to_row
+from beepmis.seeding import graph_seed, run_seed
 
 G = grid_graph(3, 4)
 
@@ -63,6 +64,9 @@ ENTRY_POINTS = {
     "stable_mix-master_seed": lambda v: stable_mix(v, 8, 0),
     "stable_mix-n": lambda v: stable_mix(1, v, 0),
     "stable_mix-trial_index": lambda v: stable_mix(1, 8, v),
+    "graph_seed": graph_seed,
+    "run_seed": run_seed,
+    "build_run_graph-seed": lambda v: build_run_graph("er:6,0.5", v),
     "experiment-n": lambda v: experiment_rows(n=v),
     "experiment-trials": lambda v: experiment_rows(trials=v),
     "experiment-master_seed": lambda v: experiment_rows(master_seed=v),
