@@ -137,14 +137,14 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
     ``cliquefam`` | ``path`` | ``file:<path>``.  n is the node
     count for er and path, the clique size, the family parameter m, or the
     side of the smallest square grid with at least n nodes; a file ignores
-    it.  Either way the graph is ``head.build(*values, seed)``, its CSV
-    param column ``head.param(*values)``.
+    it, but n must still be an integer >= 1.  Either way the graph is
+    ``head.build(*values, seed)``, its CSV param column ``head.param(*values)``.
     """
     name, sep, rest = spec.partition(":")
     head = _GRAPH_HEADS.get(name)
     if head is None:
         raise InvalidParameter(f"unknown graph {spec!r}")
-    sized = () if n is None else head.size(n)
+    sized = () if n is None else head.size(as_int(n, "n", 1))
     fields = head.fields[len(sized):]
     texts = (rest.split(",") if len(fields) > 1 else [rest]) if sep else []
     if len(texts) != len(fields):
@@ -195,22 +195,21 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     Rows come back graph-major, then policy-major, then sorted by (n,
     trial), so the result does not depend on how trials were scheduled.
     """
-    # Every count is checked before any graph is resolved or built; the tasks carry Python ints.
+    # Every count is checked before any graph is built: these here, each n by parse_graph.
     for label in ("policies", "graphs", "n_values"):
         if not getattr(spec, label):
             raise InvalidParameter(f"{label} must not be empty")
     spec = replace(spec, trials=as_int(spec.trials, "trials", 1),
-                   max_rounds=None if spec.max_rounds is None else as_int(spec.max_rounds, "max_rounds", 1),
-                   n_values=tuple(as_int(n, "n values", 1) for n in spec.n_values))
+                   max_rounds=None if spec.max_rounds is None else as_int(spec.max_rounds, "max_rounds", 1))
     jobs = as_int(jobs, "jobs", 1)
     rows = len(spec.policies) * len(spec.graphs) * len(spec.n_values) * spec.trials
     if rows > _ROW_BUDGET:
         raise TooLarge(f"batch of {rows} rows, over the budget of {_ROW_BUDGET}")
     # (policy, graph, n, trial) names one row, so every policy name, graph
     # head and (graph, n) cell, written in the single-run grammar, is given once.
-    resolved = [parse_graph(graph, n) for graph in spec.graphs for n in spec.n_values]
-    cells = [f"{name}:{','.join(map(str, values))}" for name, _, values in resolved]
-    heads = [graph.partition(":")[0] for graph in spec.graphs]
+    resolved = [[parse_graph(graph, n) for n in spec.n_values] for graph in spec.graphs]
+    cells = [f"{name}:{','.join(map(str, values))}" for row in resolved for name, _, values in row]
+    heads = [row[0][0] for row in resolved]
     names = [parse_policy(policy).name for policy in spec.policies]
     for label, values in (("policy", names), ("graph", heads), ("graph", cells)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -309,10 +308,11 @@ def cmd_batch(args) -> int:
     """Run the command's experiment, write its CSV to --output and report on it."""
     spec = ExperimentSpec(tuple(args.policies), tuple(args.graphs), tuple(args.n), args.trials,
                           _resolve_seed(args.seed), args.max_rounds)
+    output = args.command.removeprefix("reproduce-") + ".csv" if args.output is None else args.output
     records = run_experiment(spec, jobs=args.jobs)
-    write_records(args.output, records)
+    write_records(output, records)
     args.report(records, args)
-    print(f"wrote {len(records)} rows to {args.output}")
+    print(f"wrote {len(records)} rows to {output}")
     return EXIT_OK
 
 
@@ -322,10 +322,11 @@ def _report_summaries(records: list[TrialRecord], args) -> None:
 
 def _report_lowerbound(records: list[TrialRecord], args) -> None:
     print_summaries(records)
-    # Paired comparison: same trial seeds for every policy at a given m.
-    # Records carry canonical names, so "const:0.50" is looked up as "const:0.5".
-    if len(args.policies) == 2:
-        first, second = (parse_policy(p).name for p in args.policies)
+    # Paired comparison: same trial seeds for every policy at a given m.  Records
+    # carry the canonical policy names, in --policies order and each once.
+    names = list(dict.fromkeys(r.policy for r in records))
+    if len(names) == 2:
+        first, second = names
         done = {(policy, batch[0].param): filter_terminated(batch)
                 for (policy, _, _), batch in _groups(records).items()}
         for m in args.n:
@@ -349,7 +350,6 @@ def _report_fig3(records: list[TrialRecord], args) -> None:
 
 
 # The reproduction presets: (command, help, graph families, trials, report).
-# Each writes <command without "reproduce-">.csv by default.
 PRESETS = (
     ("reproduce-fig3", "round-count scaling preset (100 trials)", ("er:0.5",), 100, _report_fig3),
     ("reproduce-fig5", "beeps-per-node scaling preset (200 trials)", ("er:0.5", "grid"), 200,
@@ -394,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = argparse.ArgumentParser(add_help=False)
     batch.add_argument("--seed", type=int, default=None)
     batch.add_argument("--jobs", type=int, default=1)
+    batch.add_argument("--output", help='CSV path (default: <command without "reproduce-">.csv)')
     batch.set_defaults(func=cmd_batch, max_rounds=None)
 
     p_exp = sub.add_parser("experiment", parents=[batch], help="run a trial batch and write CSV")
@@ -403,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n", type=_size, nargs="+", required=True, help="size values")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
-    p_exp.add_argument("--output", default="experiment.csv")
     p_exp.set_defaults(report=_report_summaries)
 
     p_low = sub.add_parser("lowerbound", parents=[batch], help="sweep vs feedback on clique families")
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_low.add_argument("--policies", nargs="+", default=["feedback", "sweep"])
     p_low.add_argument("--trials", type=int, default=100)
     p_low.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
-    p_low.add_argument("--output", default="lowerbound.csv")
     p_low.set_defaults(graphs=("cliquefam",), report=_report_lowerbound)
 
     p_ver = sub.add_parser("verify", help="check a node set against a graph file")
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, graphs, trials, report in PRESETS:
         p_fig = sub.add_parser(name, parents=[batch], help=help_text)
         p_fig.add_argument("--n", type=_size, nargs="+", default=FIG_N_VALUES)
-        p_fig.add_argument("--output", default=name.removeprefix("reproduce-") + ".csv")
         p_fig.set_defaults(graphs=graphs, policies=FIG_POLICIES, trials=trials, report=report)
 
     return parser

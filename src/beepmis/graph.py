@@ -273,7 +273,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"duplicate edge ({u}, {v})", line=i)
         seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+    return Graph(n, np.array(edges, dtype=np.int64))
 
 
 def write_edge_list(g: Graph) -> str:

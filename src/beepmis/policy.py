@@ -29,6 +29,9 @@ def _exact(x: float) -> str:
     return text if float(text) == x else repr(x)
 
 
+_FEEDBACK_KEYS = {"f": "factor", "init": "initial", "cap": "cap"}
+
+
 class LocalFeedback:
     """Each node adapts its own beep probability from what it heard.
 
@@ -55,7 +58,8 @@ class LocalFeedback:
     def name(self) -> str:
         if (self.factor, self.initial, self.cap) == (2.0, 0.5, 0.5):
             return "feedback"
-        return f"feedback:f={_exact(self.factor)},init={_exact(self.initial)},cap={_exact(self.cap)}"
+        return "feedback:" + ",".join(f"{key}={_exact(getattr(self, attr))}"
+                                      for key, attr in _FEEDBACK_KEYS.items())
 
     def initial_state(self, node_count: int) -> np.ndarray:
         return np.full(node_count, self.initial)
@@ -132,9 +136,6 @@ class Constant(Schedule):
 
     def at(self, step: int) -> float:
         return self.probability
-
-
-_FEEDBACK_KEYS = {"f": "factor", "init": "initial", "cap": "cap"}
 
 
 def parse_policy(text: str):

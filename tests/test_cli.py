@@ -75,13 +75,17 @@ class TestGraphGrammar:
         assert build_family("cliquefam", 3).node_count == 18
 
     def test_bad_family(self):
-        # the size fields are written out from n, so only the rest are given
-        for bad, message in (("er", "er takes er edge probability here, got 'er'"),
-                             ("grid:2,3", "grid takes no fields here, got 'grid:2,3'"),
-                             ("grid:3", "grid takes no fields here, got 'grid:3'"),
-                             ("file", "file takes path here, got 'file'")):
+        # the size fields are written out from n, so only the rest are given;
+        # n itself is an integer >= 1, even for a file, which ignores it
+        for bad, n, message in (("er", 8, "er takes er edge probability here, got 'er'"),
+                                ("grid:2,3", 8, "grid takes no fields here, got 'grid:2,3'"),
+                                ("grid:3", 8, "grid takes no fields here, got 'grid:3'"),
+                                ("file", 8, "file takes path here, got 'file'"),
+                                ("grid", 0, "n must be an integer >= 1, got 0"),
+                                ("grid", -3, "n must be an integer >= 1, got -3"),
+                                ("file:g.el", 0, "n must be an integer >= 1, got 0")):
             with pytest.raises(InvalidParameter, match=re.escape(message)):
-                parse_graph(bad, 8)
+                parse_graph(bad, n)
 
     def test_grid_side_is_ceiling_square_root(self):
         for n in range(1, 300):
@@ -422,6 +426,14 @@ class TestExperiment:
         code = main(["experiment", "--graph", "path", "--policy", "sweep",
                      "--n", "4", "--trials", "1", "--output", "/no/such/dir/out.csv"])
         assert code == EXIT_USAGE
+
+    def test_empty_output_fails(self, tmp_path, monkeypatch, capsys):
+        # an empty --output is a path that cannot be written, not a request for the default
+        monkeypatch.chdir(tmp_path)
+        code = main(["experiment", "--graph", "path", "--policy", "sweep",
+                     "--n", "4", "--trials", "1", "--output", ""])
+        assert code == EXIT_USAGE
+        assert os.listdir(tmp_path) == []
 
 
 def count_calls(monkeypatch, owner, name):

@@ -30,7 +30,7 @@ from beepmis import (
     stable_mix,
     sweep_phase_position,
 )
-from beepmis.cli import ExperimentSpec, build_run_graph, run_experiment
+from beepmis.cli import ExperimentSpec, build_run_graph, parse_graph, run_experiment
 from beepmis.metrics import record_to_row
 from beepmis.seeding import graph_seed, run_seed
 
@@ -67,6 +67,7 @@ ENTRY_POINTS = {
     "graph_seed": graph_seed,
     "run_seed": run_seed,
     "build_run_graph-seed": lambda v: build_run_graph("er:6,0.5", v),
+    "parse_graph-n": lambda v: parse_graph("grid", v),
     "experiment-n": lambda v: experiment_rows(n=v),
     "experiment-trials": lambda v: experiment_rows(trials=v),
     "experiment-master_seed": lambda v: experiment_rows(master_seed=v),
