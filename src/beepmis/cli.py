@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Callable
@@ -223,6 +222,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     if workers <= 1:
         per_trial = list(map(run_trial, *zip(*tasks)))
     else:
+        # Imported here: the pool's modules (multiprocessing, socket,
+        # subprocess) cost a serial command tens of milliseconds of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (workers * 32))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
@@ -309,6 +312,9 @@ def cmd_batch(args) -> int:
     spec = ExperimentSpec(tuple(args.policies), tuple(args.graphs), tuple(args.n), args.trials,
                           _resolve_seed(args.seed), args.max_rounds)
     output = args.command.removeprefix("reproduce-") + ".csv" if args.output is None else args.output
+    # A path that cannot be a file is refused before the first trial, not after the last.
+    if not output or os.path.isdir(output) or not os.path.isdir(os.path.dirname(output) or "."):
+        raise InvalidParameter(f"--output {output!r} is not a file in an existing directory")
     records = run_experiment(spec, jobs=args.jobs)
     write_records(output, records)
     args.report(records, args)

@@ -412,7 +412,8 @@ class TestExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the executor only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
                 "--n", "8", "--trials", "2", "--seed", "3"]
@@ -422,18 +423,31 @@ class TestExperiment:
         assert started == [2]
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unwritable_output(self, capsys):
+    def test_unwritable_output(self, monkeypatch, capsys):
+        # refused before the first trial, not after the last
+        runs = count_calls(monkeypatch, engine, "run")
         code = main(["experiment", "--graph", "path", "--policy", "sweep",
                      "--n", "4", "--trials", "1", "--output", "/no/such/dir/out.csv"])
         assert code == EXIT_USAGE
+        assert len(runs) == 0
 
     def test_empty_output_fails(self, tmp_path, monkeypatch, capsys):
         # an empty --output is a path that cannot be written, not a request for the default
         monkeypatch.chdir(tmp_path)
+        runs = count_calls(monkeypatch, engine, "run")
         code = main(["experiment", "--graph", "path", "--policy", "sweep",
                      "--n", "4", "--trials", "1", "--output", ""])
         assert code == EXIT_USAGE
         assert os.listdir(tmp_path) == []
+        assert len(runs) == 0
+
+    def test_directory_output_fails(self, tmp_path, monkeypatch, capsys):
+        runs = count_calls(monkeypatch, engine, "run")
+        code = main(["reproduce-fig3", "--n", "8", "--output", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "is not a file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        assert len(runs) == 0
 
 
 def count_calls(monkeypatch, owner, name):
@@ -483,6 +497,22 @@ class TestEntryPoints:
         done = subprocess.run([sys.executable, "-m", "beepmis.cli", *argv], cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True)
         assert done.returncode == code
+
+    def test_serial_commands_never_load_the_pool(self, tmp_path):
+        # only --jobs > 1 imports the process pool and its modules
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys\n"
+            "from beepmis.cli import main\n"
+            "assert main(['run', '--graph', 'path:3', '--policy', 'feedback']) == 0\n"
+            "assert main(['experiment', '--graph', 'er:0.5', '--policy', 'sweep', '--n', '8',\n"
+            "             '--trials', '2', '--jobs', '1', '--output', 'x.csv']) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestLowerbound:

@@ -231,10 +231,13 @@ class TestReferenceEngine:
 
     @pytest.mark.parametrize("policy_text", POLICIES)
     def test_clique_family_equals_reference(self, policy_text):
-        g = clique_family(5)
+        # every K_1 component is an isolated node: a heard test that counted
+        # it as hearing would keep it from ever joining
         policy = parse_policy(policy_text)
-        for seed in range(5):
-            assert run(g, policy, seed, keep_trace=True) == reference_run(g, policy, seed)
+        for m in (4, 5, 8):
+            g = clique_family(m)
+            for seed in range(5):
+                assert run(g, policy, seed, keep_trace=True) == reference_run(g, policy, seed)
 
     @pytest.mark.parametrize("policy_text", ["feedback", "sweep"])
     def test_dense_random_graph_equals_reference(self, policy_text):
@@ -300,18 +303,24 @@ def heard_reference(graph, beeped, queries):
     return [bool(beepers.intersection(graph.neighbours(q))) for q in queries.tolist()]
 
 
+def count_kernel_calls(monkeypatch):
+    """Wrap both heard kernels; the returned dict counts the calls of each."""
+    calls = {"top_down": 0, "bottom_up": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_heard_top_down", counted("top_down", engine._heard_top_down))
+    monkeypatch.setattr(engine, "_heard_bottom_up", counted("bottom_up", engine._heard_bottom_up))
+    return calls
+
+
 class TestHeard:
     def test_equals_set_based_flags_in_both_directions(self, monkeypatch):
-        calls = {"top_down": 0, "bottom_up": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(engine, "_heard_top_down", counted("top_down", engine._heard_top_down))
-        monkeypatch.setattr(engine, "_heard_bottom_up", counted("bottom_up", engine._heard_bottom_up))
+        calls = count_kernel_calls(monkeypatch)
         graphs = [erdos_renyi(n, p, seed) for seed, n in enumerate((1, 2, 37, 120, 300))
                   for p in (0.05, 0.5, 1.0)]
         graphs += [grid_graph(13, 17), clique_family(6)]
@@ -322,9 +331,17 @@ class TestHeard:
                 active = np.flatnonzero(rng.random(n) < 0.8)
                 beeped = active[rng.random(active.size) < fraction]
                 for queries in (beeped, active):
-                    flags = engine._heard(g, np.diff(g.indptr), beeped, queries)
+                    flags = engine._heard(g, np.diff(g.indptr), g.indptr[1:] - 1, beeped, queries)
                     assert flags.tolist() == heard_reference(g, beeped, queries)
         assert calls["top_down"] and calls["bottom_up"]
+
+    def test_no_beeper_calls_no_kernel(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        for g in (erdos_renyi(50, 0.5, 1), STAR, WITH_ISOLATED, Graph(3)):
+            n = g.node_count
+            flags = engine._heard(g, np.diff(g.indptr), g.indptr[1:] - 1, np.arange(0), np.arange(n))
+            assert flags.dtype == bool and flags.tolist() == [False] * n
+        assert calls == {"top_down": 0, "bottom_up": 0}
 
     @given(st.one_of(small_graphs(), st.sampled_from([STAR, WITH_ISOLATED])), st.data())
     def test_each_kernel_equals_set_based_flags(self, g, data):
@@ -337,7 +354,7 @@ class TestHeard:
             assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
             if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
                 for window in range(1, n + 1):
-                    flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
+                    flags = engine._heard_bottom_up(g, degree, g.indptr[1:] - 1, beeped, queries, window)
                     assert flags.tolist() == expected
 
 
@@ -364,9 +381,9 @@ class TestWork:
             read.append(entries.size)
             return entries
 
-        def windows(graph, degree, beeped, queries, window):
+        def windows(graph, degree, last, beeped, queries, window):
             read.append(queries.size * window)  # the first windows, one 2-D gather
-            return bottom_up(graph, degree, beeped, queries, window)
+            return bottom_up(graph, degree, last, beeped, queries, window)
 
         monkeypatch.setattr(engine, "_row_entries", counted)
         monkeypatch.setattr(engine, "_heard_bottom_up", windows)
@@ -397,8 +414,9 @@ class TestLinearMemory:
         window = -(-4 * n // beepers)
         assert degree[queries].min() > window
         read = queries.size * window + int((degree[queries] - window).sum())
-        assert not engine._heard_bottom_up(g, degree, beeped, queries, window).any()
-        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, beeped, queries, window))
+        last = g.indptr[1:] - 1
+        assert not engine._heard_bottom_up(g, degree, last, beeped, queries, window).any()
+        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, last, beeped, queries, window))
         assert peak * 2**20 < 64 * read  # eight int64 words per entry read
 
     def test_path_200k_terminates(self):
