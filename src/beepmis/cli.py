@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Callable
 
 from . import engine
-from .errors import BeepMISError, InvalidParameter, ParseError, TooLarge, as_int
+from .errors import BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal
 from .graph import (
     Graph,
     clique_family,
@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
             if not text:
                 continue
             try:
-                candidate.add(int(text))
+                candidate.add(parse_decimal(text))
             except ValueError:
                 raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
     code = _report_mis(g, candidate)

@@ -14,20 +14,17 @@ seed; a round's doubles come in one batch from the very stream of
 
 Node state is held in numpy arrays over the graph's CSR rows.  The heard
 test needs an answer for the beepers under a schedule (the join test) and
-for every active node under local feedback (its adjustment).  It
-either marks the beepers' whole rows (top-down) or lets each node that needs
-an answer read a window at the start of its own row, all windows in one 2-D
+for every active node under local feedback (its adjustment).  It either
+marks the beepers' whole rows (top-down) or lets each node that needs an
+answer read a window at the start of its own row, all windows in one 2-D
 gather, and the rest of the row only when the window held no beeper, all
 rests in one segmented OR (bottom-up), whichever reads fewer entries; see
-:func:`_heard`.  Work that cannot change a round's answer is skipped: a
-round with no beeper runs neither kernel, bottom-up stops once every query
-has heard within its window, and a schedule round in which every beeper
-heard joins nobody without a compress.  The only other rows a round reads
-are its joiners'.  Every node joins at most once and, under local
-feedback, beeps O(1) times in expectation, so a feedback run reads
-O(n + m) adjacency in expectation.  A schedule's rounds with many beepers
-read mostly windows: a sweep run on G(512, 1/2) reads about as many entries
-as the graph holds.
+:func:`_heard`.  A round with no beeper runs neither kernel.  The only
+other rows a round reads are its joiners'.  Every node joins at most once
+and, under local feedback, beeps O(1) times in expectation, so a feedback
+run reads O(n + m) adjacency in expectation.  A schedule's rounds with many
+beepers read mostly windows: a sweep run on G(512, 1/2) reads about as many
+entries as the graph holds.
 """
 
 from __future__ import annotations
@@ -77,13 +74,11 @@ class _State:
 
     ``status`` holds each node's state, ``_ACTIVE``, ``_JOINED`` or
     ``_DOMINATED``; ``active`` lists the ``_ACTIVE`` nodes in increasing
-    order, ``beep_counts`` per-node counters, ``degree`` row lengths and
-    ``last`` the position of each row's last entry.
+    order, ``beep_counts`` per-node counters and ``degree`` row lengths.
     """
 
     round: int
     degree: np.ndarray
-    last: np.ndarray
     active: np.ndarray
     status: np.ndarray
     beep_counts: np.ndarray
@@ -101,7 +96,6 @@ def _new_state(graph: Graph, policy) -> _State:
     return _State(
         round=0,
         degree=np.diff(graph.indptr),
-        last=graph.indptr[1:] - 1,
         active=np.arange(n),
         status=np.zeros(n, dtype=np.int8),
         beep_counts=np.zeros(n, dtype=np.int64),
@@ -122,7 +116,7 @@ def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return graph.indices[offsets + np.arange(offsets.size)]
 
 
-def _heard(graph: Graph, degree: np.ndarray, last: np.ndarray, beeped: np.ndarray,
+def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
            queries: np.ndarray) -> np.ndarray:
     """Flags, aligned with ``queries``, of the query nodes with a beeping neighbour.
 
@@ -133,19 +127,14 @@ def _heard(graph: Graph, degree: np.ndarray, last: np.ndarray, beeped: np.ndarra
     ``np.logical_or.reduceat``.  Bottom-up is taken when its
     windows, at most ``queries.size * window`` entries, read fewer entries
     than top-down; both give the same flags.  ``degree`` holds the graph's
-    row lengths and ``last`` the position of each row's last entry.
-
-    Exits early where the answer is known: with no beeper every flag is
-    False and neither kernel runs; bottom-up returns after the windows when
-    every query heard a beeper there.  It masks the empty rows first, since
-    they never hear.
+    row lengths.  With no beeper every flag is False and neither kernel runs.
     """
     if not beeped.size:
         return np.zeros(queries.size, dtype=bool)
     beeper_degrees = degree[beeped]
     window = -(-4 * graph.node_count // beeped.size)
     if queries.size * window < beeper_degrees.sum():
-        return _heard_bottom_up(graph, degree, last, beeped, queries, window)
+        return _heard_bottom_up(graph, degree, beeped, queries, window)
     return _heard_top_down(graph, beeped, beeper_degrees, queries)
 
 
@@ -156,7 +145,7 @@ def _heard_top_down(graph: Graph, beeped: np.ndarray, beeper_degrees: np.ndarray
     return marked[queries]
 
 
-def _heard_bottom_up(graph: Graph, degree: np.ndarray, last: np.ndarray, beeped: np.ndarray,
+def _heard_bottom_up(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
                      queries: np.ndarray, window: int) -> np.ndarray:
     """The graph needs at least one edge; :func:`_heard` takes this path
     only when some beeper has a neighbour."""
@@ -165,17 +154,14 @@ def _heard_bottom_up(graph: Graph, degree: np.ndarray, last: np.ndarray, beeped:
     starts = graph.indptr[queries]
     degrees = degree[queries]
     # Every first window as one (window, queries) gather, window-major so
-    # that each numpy inner loop runs over all queries.  A row shorter than
-    # the window repeats its last entry; an empty row reads an entry of some
-    # other row, which the degree mask discards.
-    columns = np.arange(window)[:, None] + starts
-    np.minimum(columns, last[queries], out=columns)
+    # that each numpy inner loop runs over all queries.  Offsets are clipped
+    # to the row's length, so a row shorter than the window repeats its last
+    # entry; an empty row reads the entry before its start (``indices[-1]``
+    # for node 0), another row's, which the degree mask discards.
+    columns = np.minimum(np.arange(window)[:, None], degrees - 1)
+    columns += starts
     heard = is_beeper[graph.indices[columns]].any(axis=0)
-    # Empty rows are masked before the early exit, or an isolated query
-    # would count as having heard.
     heard &= degrees > 0
-    if heard.all():
-        return heard
     # The rest of the rows, one segmented OR over their concatenation: as one
     # 2-D gather it would be as wide as the longest row, which has no bound on
     # a hub.  A rest row is longer than the window, so every segment holds an
@@ -233,7 +219,7 @@ def _round(state: _State, graph: Graph,
 
     # A schedule reads heard only for the join test, local feedback for
     # every active node's adjustment.
-    heard = _heard(graph, state.degree, state.last, beeped, active if per_node else beeped)
+    heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
     # A beeper joins exactly when none of its neighbours beeped this round.
     # The whole slice is adjusted: a node that leaves this round is never
     # read again, so its probability does not matter.
@@ -241,8 +227,7 @@ def _round(state: _State, graph: Graph,
         joined = beeped[~heard[beeps]]
         pstate[active] = policy.adjust(p, heard)
     else:
-        # Most schedule rounds on a dense graph have no joiner: skip the compress.
-        joined = beeped[:0] if heard.all() else beeped[~heard]
+        joined = beeped[~heard]
         policy.end_round(pstate)
     if joined.size:
         # A joiner's row holds no joiner of any round: no status leaves _JOINED.

@@ -5,10 +5,12 @@ Python or numpy integer is taken; anything else, bool and 3.0 too, is refused.
 The real-number rule of every probability and factor, :func:`as_real`: a
 Python or numpy integer or float is taken as the equal float; a bool, a
 string, None, a complex number or an array is refused.  Each caller checks
-the range itself.
+the range itself.  Text integers, the fields of every file beepmis reads,
+are ASCII decimal (:func:`parse_decimal`).
 """
 
 import operator
+import re
 
 import numpy as np
 
@@ -46,6 +48,18 @@ def as_int(value, label: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidParameter(f"{label} must be an integer{bound}, got {value!r}")
     return operator.index(value)
+
+
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """``text`` as an int if it is ASCII decimal, ``-?[0-9]+``; anything else
+    ``int()`` takes, such as ``+1``, ``1_0`` or a non-ASCII digit, raises ParseError.
+    The minus sign leaves the range check to the caller."""
+    if not _DECIMAL.fullmatch(text):
+        raise ParseError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
 
 
 def as_real(value, label: str) -> float:

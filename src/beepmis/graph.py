@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real
+from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real, parse_decimal
 from .seeding import seed_word
 
 # Most cells a graph build may allocate: one per node, or one per node pair
@@ -263,7 +263,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise ParseError(f"expected header 'n m', got {lines[0]!r}", line=1)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_decimal(header[0]), parse_decimal(header[1])
     except ValueError:
         raise ParseError(f"header fields must be integers, got {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
@@ -277,7 +277,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {raw!r}", line=i)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = parse_decimal(fields[0]), parse_decimal(fields[1])
         except ValueError:
             raise ParseError(f"edge endpoints must be integers, got {raw!r}", line=i) from None
         if not (0 <= u < n and 0 <= v < n):

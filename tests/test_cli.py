@@ -220,9 +220,9 @@ class TestSeedResolution:
 class TestCmdVerify:
     def write(self, tmp_path, graph_text, indices):
         g = tmp_path / "g.el"
-        g.write_text(graph_text)
+        g.write_text(graph_text, encoding="utf-8")
         s = tmp_path / "s.txt"
-        s.write_text("".join(f"{i}\n" for i in indices))
+        s.write_text("".join(f"{i}\n" for i in indices), encoding="utf-8")
         return str(g), str(s)
 
     def test_valid_set(self, tmp_path, capsys):
@@ -255,6 +255,18 @@ class TestCmdVerify:
         s.write_text("0\nnope\n")
         assert main(["verify", str(g), str(s)]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    def test_graph_fields_are_ascii_decimal(self, tmp_path, capsys):
+        # int() reads "+1" as 1 and the Arabic-Indic two as 2: a path 0-1-2
+        g, s = self.write(tmp_path, "3 2\n0 +1\n1 \u0662\n", [1])
+        assert main(["verify", g, s]) == EXIT_USAGE
+        assert "line 2" in capsys.readouterr().err
+
+    def test_set_entries_are_ascii_decimal(self, tmp_path, capsys):
+        for entry in ("+1", "1_0", "\u0661"):
+            g, s = self.write(tmp_path, PATH3, ["0", entry])
+            assert main(["verify", g, s]) == EXIT_USAGE
+            assert "line 2" in capsys.readouterr().err
 
     def test_header_over_cell_budget(self, tmp_path, capsys):
         g, s = self.write(tmp_path, "1000000000 0\n", [0])

@@ -331,7 +331,7 @@ class TestHeard:
                 active = np.flatnonzero(rng.random(n) < 0.8)
                 beeped = active[rng.random(active.size) < fraction]
                 for queries in (beeped, active):
-                    flags = engine._heard(g, np.diff(g.indptr), g.indptr[1:] - 1, beeped, queries)
+                    flags = engine._heard(g, np.diff(g.indptr), beeped, queries)
                     assert flags.tolist() == heard_reference(g, beeped, queries)
         assert calls["top_down"] and calls["bottom_up"]
 
@@ -339,7 +339,7 @@ class TestHeard:
         calls = count_kernel_calls(monkeypatch)
         for g in (erdos_renyi(50, 0.5, 1), STAR, WITH_ISOLATED, Graph(3)):
             n = g.node_count
-            flags = engine._heard(g, np.diff(g.indptr), g.indptr[1:] - 1, np.arange(0), np.arange(n))
+            flags = engine._heard(g, np.diff(g.indptr), np.arange(0), np.arange(n))
             assert flags.dtype == bool and flags.tolist() == [False] * n
         assert calls == {"top_down": 0, "bottom_up": 0}
 
@@ -354,7 +354,7 @@ class TestHeard:
             assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
             if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
                 for window in range(1, n + 1):
-                    flags = engine._heard_bottom_up(g, degree, g.indptr[1:] - 1, beeped, queries, window)
+                    flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
                     assert flags.tolist() == expected
 
 
@@ -381,9 +381,9 @@ class TestWork:
             read.append(entries.size)
             return entries
 
-        def windows(graph, degree, last, beeped, queries, window):
+        def windows(graph, degree, beeped, queries, window):
             read.append(queries.size * window)  # the first windows, one 2-D gather
-            return bottom_up(graph, degree, last, beeped, queries, window)
+            return bottom_up(graph, degree, beeped, queries, window)
 
         monkeypatch.setattr(engine, "_row_entries", counted)
         monkeypatch.setattr(engine, "_heard_bottom_up", windows)
@@ -398,6 +398,22 @@ class TestLinearMemory:
         # hundreds of MiB here
         peak = traced_peak_mib(lambda: run(grid_graph(128, 128), LocalFeedback(), 0))
         assert peak < 32
+
+    @pytest.mark.parametrize("policy, bound", [(LocalFeedback(), 34), (GlobalSweep(), 26)],
+                             ids=["feedback", "sweep"])
+    def test_per_run_state(self, policy, bound):
+        # status (1 byte), active, degree and beep counts (8 each) and, under
+        # feedback, one float64 probability per node: nothing else that the
+        # graph's indptr already implies
+        g = path_graph(1 << 16)
+        tracemalloc.start()
+        try:
+            state = engine._new_state(g, policy)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state.active.size == g.node_count
+        assert held <= bound * g.node_count
 
     def test_rest_scan_peak(self):
         # A hub joined to 2,000 rows that also share 16 silent nodes, and
@@ -414,9 +430,8 @@ class TestLinearMemory:
         window = -(-4 * n // beepers)
         assert degree[queries].min() > window
         read = queries.size * window + int((degree[queries] - window).sum())
-        last = g.indptr[1:] - 1
-        assert not engine._heard_bottom_up(g, degree, last, beeped, queries, window).any()
-        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, last, beeped, queries, window))
+        assert not engine._heard_bottom_up(g, degree, beeped, queries, window).any()
+        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, beeped, queries, window))
         assert peak * 2**20 < 64 * read  # eight int64 words per entry read
 
     def test_path_200k_terminates(self):

@@ -336,6 +336,15 @@ class TestEdgeListFormat:
                 parse_edge_list(f"3 2\n0 1\n{line}")
             assert exc.value.line == 3
 
+    def test_parse_takes_only_ascii_decimal(self):
+        # int() would read "1_0" as 10 and "+9" as 9: a 10-node graph with the edge (0, 9)
+        for text, line in (("1_0 1\n0 1\n", 1), ("10 1\n0 +9\n", 2), ("1_0 1\n0 +9\n", 1),
+                           ("3 1\n0 \u0662\n", 2), ("\uff13 0\n", 1)):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_list(text)
+            assert exc.value.line == line
+        assert parse_edge_list("010 1\n0 9\n") == Graph(10, [(0, 9)])
+
     def test_parse_rejects_empty(self):
         with pytest.raises(ParseError):
             parse_edge_list("")

@@ -132,13 +132,18 @@ class TestRecords:
         lambda row: row.replace(",true,", ",True,"),  # a boolean other than true/false
         lambda row: row.replace(",4,true,", ",3.0,true,"),  # a float in an int column
         lambda row: row.replace(",1.5,", ",fast,"),  # a float column that does not parse
-    ], ids=["extra-column", "short-row", "bool", "int-column", "float-column"])
+        # int columns that int() would read as 16, 1 and 1
+        lambda row: row.replace(",er,16,", ",er,1_6,"),
+        lambda row: row.replace(",0.5,1,1,", ",0.5,+1,1,"),
+        lambda row: row.replace(",0.5,1,1,", ",0.5,1,\u0661,"),
+    ], ids=["extra-column", "short-row", "bool", "int-column", "float-column",
+            "int-underscore", "int-plus", "int-arabic-indic-digit"])
     def test_read_rejects_malformed_row_with_its_line(self, change, tmp_path):
         path = tmp_path / "bad.csv"
         write_records(str(path), [make_record(trial=0), make_record(trial=1)])
         header, first, second = path.read_text().splitlines()
         assert change(second) != second
-        path.write_text("\n".join([header, first, change(second)]) + "\n")
+        path.write_text("\n".join([header, first, change(second)]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="^line 3: ") as info:
             read_records(str(path))
         assert info.value.line == 3
