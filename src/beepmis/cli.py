@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Callable
 
 from . import engine
-from .errors import BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal
+from .errors import TEXT_READERS, BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal
 from .graph import (
     Graph,
     clique_family,
@@ -65,12 +65,14 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
-def _size(text: str) -> int:
-    """argparse type of --n and --m: an integer of at least 1, so the error names the flag."""
-    try:
-        return as_int(int(text), "value", 1)
-    except ValueError as exc:  # InvalidParameter is one
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _integer(minimum: int | None = None) -> Callable[[str], int]:
+    """argparse type of an integer flag: ASCII decimal of at least minimum, so the error names the flag."""
+    def read(text: str) -> int:
+        try:
+            return as_int(parse_decimal(text), "value", minimum)
+        except ValueError as exc:  # ParseError and InvalidParameter are ones
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class ExperimentSpec:
 class GraphHead:
     """One head of the graph grammar, e.g. ``er`` or ``grid``; see parse_graph."""
 
-    fields: tuple[tuple[str, type], ...]  # (label, type) per field, in single-run order
+    fields: tuple[tuple[str, str], ...]   # (label, type name) per field, in single-run order
     size: Callable[[int], tuple]          # n -> values of the leading size fields
     build: Callable[..., Graph]           # (*values, seed) -> Graph
     param: Callable[..., str]             # (*values) -> CSV param column
@@ -109,17 +111,17 @@ class GraphHead:
 # The builders are looked up by name when called, not stored, so a caller that
 # replaces a module attribute (e.g. to time it) reaches every graph build.
 _GRAPH_HEADS = {
-    "er": GraphHead((("er node count", int), ("er edge probability", float)), lambda n: (n,),
+    "er": GraphHead((("er node count", "int"), ("er edge probability", "float")), lambda n: (n,),
                     lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p)),
-    "grid": GraphHead((("rows", int), ("cols", int)), lambda n: (isqrt(n - 1) + 1,) * 2,
+    "grid": GraphHead((("rows", "int"), ("cols", "int")), lambda n: (isqrt(n - 1) + 1,) * 2,
                       lambda r, c, seed: grid_graph(r, c), lambda r, c: f"{r}x{c}"),
-    "clique": GraphHead((("clique size", int),), lambda n: (n,),
+    "clique": GraphHead((("clique size", "int"),), lambda n: (n,),
                         lambda d, seed: complete_graph(d), str),
-    "cliquefam": GraphHead((("family parameter", int),), lambda n: (n,),
+    "cliquefam": GraphHead((("family parameter", "int"),), lambda n: (n,),
                            lambda m, seed: clique_family(m), str),
-    "path": GraphHead((("path length", int),), lambda n: (n,),
+    "path": GraphHead((("path length", "int"),), lambda n: (n,),
                       lambda n, seed: path_graph(n), lambda n: ""),
-    "file": GraphHead((("path", str),), lambda n: (),
+    "file": GraphHead((("path", "str"),), lambda n: (),
                       lambda path, seed: _load_graph_file(path), os.path.basename),
 }
 
@@ -152,9 +154,9 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
     values = []
     for text, (label, kind) in zip(texts, fields):
         try:
-            values.append(kind(text))
+            values.append(TEXT_READERS[kind](text))
         except ValueError:
-            raise InvalidParameter(f"{label} must be {kind.__name__}, got {text!r}") from None
+            raise InvalidParameter(f"{label} must be {kind}, got {text!r}") from None
     return name, head, sized + tuple(values)
 
 
@@ -262,13 +264,11 @@ def print_summaries(records: list[TrialRecord]) -> None:
 def _resolve_seed(arg_seed: int | None) -> int:
     if arg_seed is not None:
         return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameter(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return parse_decimal(env)
+    except ParseError:
+        raise InvalidParameter(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 # The TrialRecord fields of run's result line, in its order; each is written as in the CSV.
@@ -372,9 +372,12 @@ def cmd_verify(args) -> int:
             if not text:
                 continue
             try:
-                candidate.add(parse_decimal(text))
+                node = parse_decimal(text)
             except ValueError:
                 raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
+            if not 0 <= node < g.node_count:
+                raise ParseError(f"set entry {node} out of range for {g.node_count} nodes", i)
+            candidate.add(node)
     code = _report_mis(g, candidate)
     if code == EXIT_OK:
         print(f"ok: independent maximal set of size {len(candidate)}")
@@ -383,6 +386,7 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beepmis", description=__doc__)
+    seed_help = f"master seed (default: ${SEED_ENV_VAR} or 0)"
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a single run")
@@ -390,16 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="er:<n>,<p> | grid:<r>,<c> | clique:<d> | cliquefam:<m> | path:<n> | file:<path>")
     p_run.add_argument("--policy", required=True,
                        help="feedback | feedback:f=<f>,init=<p>,cap=<c> | sweep | const:<p>")
-    p_run.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    p_run.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+    p_run.add_argument("--seed", type=_integer(), default=None, help=seed_help)
+    p_run.add_argument("--max-rounds", type=_integer(), default=None, dest="max_rounds")
     p_run.add_argument("--show-mis", action="store_true", dest="show_mis")
     p_run.add_argument("--trace", action="store_true", help="print per-round beeped/joined/deactivated sets")
     p_run.set_defaults(func=cmd_run)
 
     # The options every batch command shares; each sets what else it runs.
     batch = argparse.ArgumentParser(add_help=False)
-    batch.add_argument("--seed", type=int, default=None)
-    batch.add_argument("--jobs", type=int, default=1)
+    batch.add_argument("--seed", type=_integer(), default=None, help=seed_help)
+    batch.add_argument("--jobs", type=_integer(), default=1)
     batch.add_argument("--output", help='CSV path (default: <command without "reproduce-">.csv)')
     batch.set_defaults(func=cmd_batch, max_rounds=None)
 
@@ -407,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--graph", nargs=1, required=True, dest="graphs", metavar="GRAPH",
                        help="er:<p> | grid | clique | cliquefam | path | file:<path>")
     p_exp.add_argument("--policy", nargs=1, required=True, dest="policies", metavar="POLICY")
-    p_exp.add_argument("--n", type=_size, nargs="+", required=True, help="size values")
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+    p_exp.add_argument("--n", type=_integer(1), nargs="+", required=True, help="size values")
+    p_exp.add_argument("--trials", type=_integer(), default=100)
+    p_exp.add_argument("--max-rounds", type=_integer(), default=None, dest="max_rounds")
     p_exp.set_defaults(report=_report_summaries)
 
     p_low = sub.add_parser("lowerbound", parents=[batch], help="sweep vs feedback on clique families")
-    p_low.add_argument("--m", type=_size, nargs="+", default=[4, 6, 8, 10], dest="n", metavar="M")
+    p_low.add_argument("--m", type=_integer(1), nargs="+", default=[4, 6, 8, 10], dest="n", metavar="M")
     p_low.add_argument("--policies", nargs="+", default=["feedback", "sweep"])
-    p_low.add_argument("--trials", type=int, default=100)
-    p_low.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+    p_low.add_argument("--trials", type=_integer(), default=100)
+    p_low.add_argument("--max-rounds", type=_integer(), default=None, dest="max_rounds")
     p_low.set_defaults(graphs=("cliquefam",), report=_report_lowerbound)
 
     p_ver = sub.add_parser("verify", help="check a node set against a graph file")
@@ -426,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, graphs, trials, report in PRESETS:
         p_fig = sub.add_parser(name, parents=[batch], help=help_text)
-        p_fig.add_argument("--n", type=_size, nargs="+", default=FIG_N_VALUES)
+        p_fig.add_argument("--n", type=_integer(1), nargs="+", default=FIG_N_VALUES)
         p_fig.set_defaults(graphs=graphs, policies=FIG_POLICIES, trials=trials, report=report)
 
     return parser

@@ -1,12 +1,13 @@
-"""Exception types, and the two type rules of every argument from outside.
+"""Exception types, and the type rules of every argument from outside.
 
 The integer rule of every count, size, seed and node id, :func:`as_int`: a
 Python or numpy integer is taken; anything else, bool and 3.0 too, is refused.
 The real-number rule of every probability and factor, :func:`as_real`: a
 Python or numpy integer or float is taken as the equal float; a bool, a
 string, None, a complex number or an array is refused.  Each caller checks
-the range itself.  Text integers, the fields of every file beepmis reads,
-are ASCII decimal (:func:`parse_decimal`).
+the range itself.  Every number read from text (flags, BEEPMIS_SEED, graph
+and policy specs, edge-list, set and CSV files) is ASCII decimal: an integer
+by :func:`parse_decimal`, a real number by :func:`parse_real`.
 """
 
 import operator
@@ -51,6 +52,7 @@ def as_int(value, label: str, minimum: int | None = None) -> int:
 
 
 _DECIMAL = re.compile("-?[0-9]+")
+_REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def parse_decimal(text: str) -> int:
@@ -60,6 +62,19 @@ def parse_decimal(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise ParseError(f"not an ASCII decimal integer: {text!r}")
     return int(text)
+
+
+def parse_real(text: str) -> float:
+    """``text`` as a float if it is an ASCII decimal real, as every ``%g`` and ``repr`` of a
+    finite float is; anything else ``float()`` takes, such as ``inf``, ``nan``, ``+1``, ``1_0``
+    or a non-ASCII digit, raises ParseError.  ``1e400`` reads as inf, for the caller's range check."""
+    if not _REAL.fullmatch(text):
+        raise ParseError(f"not an ASCII decimal real: {text!r}")
+    return float(text)
+
+
+# The reader of each type name a text field is declared with (graph-spec fields, CSV columns).
+TEXT_READERS = {"str": str, "int": parse_decimal, "float": parse_real}
 
 
 def as_real(value, label: str) -> float:

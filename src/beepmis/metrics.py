@@ -8,7 +8,7 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import EmptySample, InvalidParameter, ParseError, as_int, parse_decimal
+from .errors import TEXT_READERS, EmptySample, InvalidParameter, ParseError, as_int
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
 # How a column of each field type is written and read back.  The annotations
 # are strings here (postponed evaluation), so the tables are keyed by name.
 _WRITE = {"str": str, "int": str, "float": format_float, "bool": lambda b: "true" if b else "false"}
-_READ = {"str": str, "int": parse_decimal, "float": float, "bool": {"true": True, "false": False}.__getitem__}
+_READ = {**TEXT_READERS, "bool": {"true": True, "false": False}.__getitem__}
 _COLUMN_TYPES = tuple(f.type for f in fields(TrialRecord))
 
 

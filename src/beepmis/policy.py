@@ -12,11 +12,11 @@ active nodes' next probabilities from whether each heard a beep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, ldexp
+from math import inf, isqrt, ldexp
 
 import numpy as np
 
-from .errors import InvalidParameter, as_int, as_real
+from .errors import InvalidParameter, as_int, as_real, parse_real
 
 # Floor for every adjustment factor, so probabilities stay strictly positive
 # and never become subnormal even on adversarially long runs.
@@ -47,8 +47,8 @@ class LocalFeedback:
         self.factor = factor = as_real(factor, "adjustment factor")
         self.initial = initial = as_real(initial, "initial probability")
         self.cap = cap = as_real(cap, "probability cap")
-        if not factor > 1.0:
-            raise InvalidParameter(f"adjustment factor must be > 1, got {factor!r}")
+        if not 1.0 < factor < inf:  # an infinite factor's name would not read back
+            raise InvalidParameter(f"adjustment factor must be finite and > 1, got {factor!r}")
         if not 0.0 < cap < 1.0:
             raise InvalidParameter(f"probability cap must be in (0, 1), got {cap!r}")
         if not _MIN_PROBABILITY <= initial <= cap:
@@ -154,7 +154,7 @@ def parse_policy(text: str):
                 if not eq:
                     raise InvalidParameter(f"bad feedback option {item!r}, expected key=value")
                 try:
-                    number = float(value)
+                    number = parse_real(value)
                 except ValueError:
                     raise InvalidParameter(f"bad feedback value {value!r}") from None
                 if key not in _FEEDBACK_KEYS:
@@ -167,7 +167,7 @@ def parse_policy(text: str):
         return GlobalSweep()
     if head == "const" and sep:
         try:
-            p = float(rest)
+            p = parse_real(rest)
         except ValueError:
             raise InvalidParameter(f"bad constant probability {rest!r}") from None
         return Constant(p)

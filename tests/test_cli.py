@@ -274,8 +274,10 @@ class TestCmdVerify:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_out_of_range_index(self, tmp_path, capsys):
-        g, s = self.write(tmp_path, PATH3, [7])
-        assert main(["verify", g, s]) == EXIT_USAGE
+        for index in (7, -1):
+            g, s = self.write(tmp_path, PATH3, [index])
+            assert main(["verify", g, s]) == EXIT_USAGE
+            assert "line 1" in capsys.readouterr().err
 
 
 class TestExperiment:

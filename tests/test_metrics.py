@@ -136,8 +136,13 @@ class TestRecords:
         lambda row: row.replace(",er,16,", ",er,1_6,"),
         lambda row: row.replace(",0.5,1,1,", ",0.5,+1,1,"),
         lambda row: row.replace(",0.5,1,1,", ",0.5,1,\u0661,"),
+        # float columns that float() would read as 15.0, 1.5 and nan
+        lambda row: row.replace(",1.5,", ",1_5,"),
+        lambda row: row.replace(",1.5,", ",\u0661.\u0665,"),
+        lambda row: row.replace(",1.5,", ",nan,"),
     ], ids=["extra-column", "short-row", "bool", "int-column", "float-column",
-            "int-underscore", "int-plus", "int-arabic-indic-digit"])
+            "int-underscore", "int-plus", "int-arabic-indic-digit", "float-underscore",
+            "float-arabic-indic-digits", "float-nan"])
     def test_read_rejects_malformed_row_with_its_line(self, change, tmp_path):
         path = tmp_path / "bad.csv"
         write_records(str(path), [make_record(trial=0), make_record(trial=1)])
