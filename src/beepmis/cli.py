@@ -59,6 +59,10 @@ FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
 # mistyped --trials fails with TooLarge before it exhausts memory.
 _ROW_BUDGET = 1 << 20
 
+# Per graph spec, its seed-free graph last built in this process, as (values,
+# graph); graphs are immutable.  run_experiment empties it when it returns.
+_seed_free_graphs: dict[str, tuple[tuple, Graph]] = {}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit 1
@@ -106,13 +110,14 @@ class GraphHead:
     size: Callable[[int], tuple]          # n -> values of the leading size fields
     build: Callable[..., Graph]           # (*values, seed) -> Graph
     param: Callable[..., str]             # (*values) -> CSV param column
+    seeded: bool = False                  # whether build reads the seed
 
 
 # The builders are looked up by name when called, not stored, so a caller that
 # replaces a module attribute (e.g. to time it) reaches every graph build.
 _GRAPH_HEADS = {
     "er": GraphHead((("er node count", "int"), ("er edge probability", "float")), lambda n: (n,),
-                    lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p)),
+                    lambda n, p, seed: erdos_renyi(n, p, seed), lambda n, p: format_float(p), seeded=True),
     "grid": GraphHead((("rows", "int"), ("cols", "int")), lambda n: (isqrt(n - 1) + 1,) * 2,
                       lambda r, c, seed: grid_graph(r, c), lambda r, c: f"{r}x{c}"),
     "clique": GraphHead((("clique size", "int"),), lambda n: (n,),
@@ -175,14 +180,21 @@ def build_run_graph(spec: str, master_seed: int) -> Graph:
 def run_trial(spec: ExperimentSpec, n: int, trial: int) -> list[TrialRecord]:
     """Execute one trial of an experiment; pure function of the arguments.
 
-    Each graph spec's graph is built once and every policy runs on it.
-    Records come back graph-major, then in policy order.
+    Each graph spec's graph is built once, a seed-free one once per batch,
+    and every policy runs on it.  Records come back graph-major, then in policy order.
     """
     policies = [parse_policy(p) for p in spec.policies]
     trial_seed = stable_mix(spec.master_seed, n, trial)
     records = []
-    for name, head, values in (parse_graph(graph, n) for graph in spec.graphs):
-        g = head.build(*values, graph_seed(trial_seed))
+    for graph in spec.graphs:
+        name, head, values = parse_graph(graph, n)
+        if head.seeded:
+            g = head.build(*values, graph_seed(trial_seed))
+        else:
+            cached = _seed_free_graphs.get(graph)
+            if cached is None or cached[0] != values:
+                cached = _seed_free_graphs[graph] = values, head.build(*values, None)
+            g = cached[1]
         param = head.param(*values)
         for policy in policies:
             result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
@@ -221,16 +233,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     # first task, so it starts no more of them than there are tasks.
     tasks = [(spec, n, trial) for n in sorted(spec.n_values, reverse=True) for trial in range(spec.trials)]
     workers = min(jobs, len(tasks))
-    if workers <= 1:
-        per_trial = list(map(run_trial, *zip(*tasks)))
-    else:
-        # Imported here: the pool's modules (multiprocessing, socket,
-        # subprocess) cost a serial command tens of milliseconds of start-up.
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers <= 1:
+            per_trial = list(map(run_trial, *zip(*tasks)))
+        else:
+            # Imported here: the pool's modules (multiprocessing, socket,
+            # subprocess) cost a serial command tens of milliseconds of start-up.
+            from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (workers * 32))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
+            chunk = max(1, len(tasks) // (workers * 32))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                per_trial = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
+    finally:
+        _seed_free_graphs.clear()
     # Column k of per_trial holds every trial of the k-th (graph, policy) pair;
     # each head's node count is one-to-one in its cell, so (n, trial) is unique there.
     return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]

@@ -19,12 +19,14 @@ marks the beepers' whole rows (top-down) or lets each node that needs an
 answer read a window at the start of its own row, all windows in one 2-D
 gather, and the rest of the row only when the window held no beeper, all
 rests in one segmented OR (bottom-up), whichever reads fewer entries; see
-:func:`_heard`.  A round with no beeper runs neither kernel.  The only
-other rows a round reads are its joiners'.  Every node joins at most once
-and, under local feedback, beeps O(1) times in expectation, so a feedback
-run reads O(n + m) adjacency in expectation.  A schedule's rounds with many
-beepers read mostly windows: a sweep run on G(512, 1/2) reads about as many
-entries as the graph holds.
+:func:`_heard`; bottom-up clips no window when every row outlasts it.  A
+round with no beeper runs neither kernel: after its draws only the policy
+update and the round count move.  The only other rows a round reads are
+its joiners'.  Every node joins at most once and, under local feedback,
+beeps O(1) times in expectation, so a feedback run reads O(n + m)
+adjacency in expectation.  A schedule's rounds with many beepers read
+mostly windows: a sweep run on G(512, 1/2) reads about as many entries as
+the graph holds.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     """
     ends = lengths.cumsum()
     # Position i of the result lies in slice k at offset i - (ends[k] - lengths[k]).
-    offsets = np.repeat(starts - ends + lengths, lengths)
-    return graph.indices[offsets + np.arange(offsets.size)]
+    offsets = (starts - ends + lengths).repeat(lengths)
+    offsets += np.arange(offsets.size)
+    return graph.indices[offsets]
 
 
 def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
@@ -133,7 +136,7 @@ def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
         return np.zeros(queries.size, dtype=bool)
     beeper_degrees = degree[beeped]
     window = -(-4 * graph.node_count // beeped.size)
-    if queries.size * window < beeper_degrees.sum():
+    if queries.size * window < np.add.reduce(beeper_degrees):
         return _heard_bottom_up(graph, degree, beeped, queries, window)
     return _heard_top_down(graph, beeped, beeper_degrees, queries)
 
@@ -153,20 +156,25 @@ def _heard_bottom_up(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
     is_beeper[beeped] = True
     starts = graph.indptr[queries]
     degrees = degree[queries]
-    # Every first window as one (window, queries) gather, window-major so
-    # that each numpy inner loop runs over all queries.  Offsets are clipped
-    # to the row's length, so a row shorter than the window repeats its last
-    # entry; an empty row reads the entry before its start (``indices[-1]``
-    # for node 0), another row's, which the degree mask discards.
-    columns = np.minimum(np.arange(window)[:, None], degrees - 1)
-    columns += starts
-    heard = is_beeper[graph.indices[columns]].any(axis=0)
-    heard &= degrees > 0
+    # Every first window as one (window, queries) gather, window-major so that
+    # each numpy inner loop runs over all queries.  If every row outlasts the
+    # window, no offset needs a clip and every unheard row has a rest.  Else
+    # offsets are clipped to the row's length, so a shorter row repeats its last
+    # entry; an empty row reads the entry before its start (``indices[-1]`` for
+    # node 0), another row's, which the degree mask discards.
+    if degrees.size and np.minimum.reduce(degrees) > window:
+        heard = np.logical_or.reduce(is_beeper[graph.indices[np.arange(window)[:, None] + starts]], axis=0)
+        rest = (~heard).nonzero()[0]
+    else:
+        columns = np.minimum(np.arange(window)[:, None], degrees - 1)
+        columns += starts
+        heard = np.logical_or.reduce(is_beeper[graph.indices[columns]], axis=0)
+        heard &= degrees > 0
+        rest = (~heard & (degrees > window)).nonzero()[0]
     # The rest of the rows, one segmented OR over their concatenation: as one
     # 2-D gather it would be as wide as the longest row, which has no bound on
     # a hub.  A rest row is longer than the window, so every segment holds an
     # entry, the one condition reduceat needs to OR exactly its own segment.
-    rest = np.flatnonzero(~heard & (degrees > window))
     if rest.size:
         lengths = degrees[rest] - window
         firsts = lengths.cumsum() - lengths
@@ -215,19 +223,20 @@ def _round(state: _State, graph: Graph,
     # loop would draw.
     beeps = draw(active.size) < p
     beeped = active[beeps]
-    state.beep_counts[beeped] += 1
-
-    # A schedule reads heard only for the join test, local feedback for
-    # every active node's adjustment.
-    heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
-    # A beeper joins exactly when none of its neighbours beeped this round.
+    # A silent round runs no kernel: nobody joins, and ``beeps`` is what all heard.
+    heard, joined = beeps, beeped
+    if beeped.size:
+        state.beep_counts[beeped] += 1
+        # A schedule reads heard only for the join test, local feedback for
+        # every active node's adjustment.
+        heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
+        # A beeper joins exactly when none of its neighbours beeped this round.
+        joined = beeped[~heard[beeps]] if per_node else beeped[~heard]
     # The whole slice is adjusted: a node that leaves this round is never
     # read again, so its probability does not matter.
     if per_node:
-        joined = beeped[~heard[beeps]]
         pstate[active] = policy.adjust(p, heard)
     else:
-        joined = beeped[~heard]
         policy.end_round(pstate)
     if joined.size:
         # A joiner's row holds no joiner of any round: no status leaves _JOINED.

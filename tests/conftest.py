@@ -4,9 +4,14 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from beepmis import Graph, check_mis, engine
+
+# CI runs the suite with --hypothesis-profile=ci: five times the default
+# example budget, so that a strategy drawing invalid inputs fails the change
+# that adds it.  Local runs keep the default profile.
+settings.register_profile("ci", max_examples=500)
 
 
 class NodeStatus(Enum):

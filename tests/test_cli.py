@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -304,14 +305,16 @@ class TestExperiment:
 
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
         # the pool runs large n first; rows come back sorted by n whatever the spec order
+        # a seed-free graph (cliquefam) is built once per worker and reused
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for sizes in (["16", "32"], ["32", "8", "16"]):
-            argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
+        for graph, sizes, nodes in (("er:0.5", ["16", "32"], [16, 32]), ("er:0.5", ["32", "8", "16"], [8, 16, 32]),
+                                    ("cliquefam", ["5", "3", "4"], [18, 40, 75])):
+            argv = ["experiment", "--graph", graph, "--policy", "feedback",
                     "--n", *sizes, "--trials", "4", "--seed", "2"]
             main(argv + ["--output", str(a), "--jobs", "1"])
             main(argv + ["--output", str(b), "--jobs", "2"])
             assert a.read_bytes() == b.read_bytes()
-            assert [r.n for r in read_records(str(a))][::4] == sorted(map(int, sizes))
+            assert [r.n for r in read_records(str(a))][::4] == nodes
 
     @pytest.mark.parametrize("case", [
         ["--graph", "grid", "--n", "10", "16", "12"],  # three sizes, one 4x4 grid
@@ -495,6 +498,31 @@ class TestEntryPoints:
         assert len(builds) == 6 and len(runs) == 18
         assert [r.policy for r in records] == ["feedback"] * 6 + ["sweep"] * 6 + ["const:0.5"] * 6
         assert [(r.n, r.trial) for r in records[:6]] == [(n, t) for n in (8, 12) for t in range(3)]
+
+    def test_seed_free_graph_built_once_per_batch(self, tmp_path, monkeypatch, capsys):
+        # a clique family or a file ignores the seed: one build per cell for the
+        # whole batch, none kept after it; G(n, p) is built for every trial
+        families = count_calls(monkeypatch, cli, "clique_family")
+        files = count_calls(monkeypatch, cli, "_load_graph_file")
+        randoms = count_calls(monkeypatch, cli, "erdos_renyi")
+        (tmp_path / "g.el").write_text(PATH3)
+        outputs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        argv = ["lowerbound", "--m", "3", "5", "4", "--trials", "4", "--seed", "9"]
+        assert main([*argv, "--output", str(outputs[0])]) == EXIT_OK
+        assert sorted(families) == [(3,), (4,), (5,)]
+        assert cli._seed_free_graphs == {}
+        spec = ExperimentSpec("sweep", ("er:0.5", f"file:{tmp_path / 'g.el'}", "path"), (4,), 3, 1)
+        records = run_experiment(spec)
+        assert len(randoms) == 3 and len(files) == 1
+        assert cli._seed_free_graphs == {}
+        # the same bytes and rows as a fresh build for every trial
+        fresh = {name: replace(head, seeded=True) for name, head in cli._GRAPH_HEADS.items()}
+        monkeypatch.setattr(cli, "_GRAPH_HEADS", fresh)
+        assert main([*argv, "--output", str(outputs[1])]) == EXIT_OK
+        assert len(families) == 3 + 12
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        assert run_experiment(spec) == records
+        assert len(files) == 1 + 3
 
     @pytest.mark.parametrize("argv, code", [
         (["run", "--graph", "path:3", "--policy", "feedback", "--seed", "1"], EXIT_OK),

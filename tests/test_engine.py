@@ -98,6 +98,28 @@ class TestStep:
         scripted_round(state, g, [SILENT, SILENT])
         assert state.policy_state.tolist() == [0.25, 0.25]
 
+    @pytest.mark.parametrize("policy", [LocalFeedback(), GlobalSweep()], ids=["feedback", "sweep"])
+    def test_silent_round_moves_only_the_policy_and_the_round(self, policy, monkeypatch):
+        # no beeper: no heard kernel runs and no node changes, but the policy
+        # still takes its update for hearing nothing
+        calls = count_kernel_calls(monkeypatch)
+        g = path_graph(3)
+        state = engine._new_state(g, policy)
+        if isinstance(policy, LocalFeedback):
+            state.policy_state[:] = [0.125, 0.25, 0.5]
+        else:
+            state.policy_state.step = 2  # probability 1/2, so SILENT draws no beep
+        outcome = scripted_round(state, g, [SILENT] * 3)
+        assert outcome == engine.RoundOutcome(frozenset(), frozenset(), frozenset())
+        assert calls == {"top_down": 0, "bottom_up": 0}
+        assert state.beep_counts.tolist() == [0, 0, 0]
+        assert state.status.tolist() == [engine._ACTIVE] * 3 and state.active.tolist() == [0, 1, 2]
+        assert state.round == 1
+        if isinstance(policy, LocalFeedback):
+            assert state.policy_state.tolist() == [0.25, 0.5, 0.5]  # doubled up to the cap
+        else:
+            assert state.policy_state.step == 3
+
 
 class TestRun:
     @pytest.mark.parametrize("g", [complete_graph(2), path_graph(9), clique_family(5),
@@ -296,6 +318,7 @@ class TestDraws:
 
 STAR = Graph(13, [(0, leaf) for leaf in range(1, 13)])  # a hub row longer than most windows
 WITH_ISOLATED = Graph(9, [(1, 2), (2, 5), (1, 7), (5, 7)])  # 0, 3, 4, 6 and 8 have no row
+CYCLE = Graph(6, [(v, (v + 1) % 6) for v in range(6)])  # every row as long as a window of 2
 
 
 def heard_reference(graph, beeped, queries):
@@ -316,6 +339,29 @@ def count_kernel_calls(monkeypatch):
     monkeypatch.setattr(engine, "_heard_top_down", counted("top_down", engine._heard_top_down))
     monkeypatch.setattr(engine, "_heard_bottom_up", counted("bottom_up", engine._heard_bottom_up))
     return calls
+
+
+def count_window_clips(monkeypatch):
+    """Give the engine a numpy whose ``minimum`` counts its direct calls in the
+    returned list: bottom-up makes one when it clips its windows, and
+    otherwise only calls ``minimum.reduce``."""
+    clips = []
+
+    class Minimum:
+        reduce = staticmethod(np.minimum.reduce)
+
+        def __call__(self, *args):
+            clips.append(args)
+            return np.minimum(*args)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(engine, "np", Numpy())
+    return clips
 
 
 class TestHeard:
@@ -343,19 +389,36 @@ class TestHeard:
             assert flags.dtype == bool and flags.tolist() == [False] * n
         assert calls == {"top_down": 0, "bottom_up": 0}
 
-    @given(st.one_of(small_graphs(), st.sampled_from([STAR, WITH_ISOLATED])), st.data())
-    def test_each_kernel_equals_set_based_flags(self, g, data):
-        # both directions on every window, not only the one _heard would pick
-        n = g.node_count
-        beeped = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        degree = np.diff(g.indptr)
-        for queries in (beeped, np.arange(n)):
-            expected = heard_reference(g, beeped, queries)
-            assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
-            if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
-                for window in range(1, n + 1):
-                    flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
-                    assert flags.tolist() == expected
+    def test_each_kernel_equals_set_based_flags(self, monkeypatch):
+        # both directions on every window, not only the one _heard would pick,
+        # and bottom-up both with its windows clipped and without
+        calls = count_kernel_calls(monkeypatch)
+        clips = count_window_clips(monkeypatch)
+
+        @given(st.one_of(small_graphs(), st.sampled_from([STAR, WITH_ISOLATED])), st.data())
+        def each_graph(g, data):
+            n = g.node_count
+            assert_kernels_equal_set_based_flags(
+                g, np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+
+        each_graph()
+        # Every row of a 6-cycle holds two entries: windows of 1 need no clip,
+        # and at a window of 2 the rows that heard nothing have no rest.
+        for beeped in ([], [0], [0, 3], [0, 2, 4]):
+            assert_kernels_equal_set_based_flags(CYCLE, np.array(beeped, dtype=np.int64))
+        assert calls["bottom_up"] > len(clips) > 0
+
+
+def assert_kernels_equal_set_based_flags(g, beeped):
+    n = g.node_count
+    degree = np.diff(g.indptr)
+    for queries in (beeped, np.arange(n)):
+        expected = heard_reference(g, beeped, queries)
+        assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
+        if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
+            for window in range(1, n + 1):
+                flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
+                assert flags.tolist() == expected
 
 
 def traced_peak_mib(build_and_run):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -178,7 +180,7 @@ class TestLocalFeedback:
             state = policy.adjust(state, np.array([True]))
         assert state[0] >= 2.0**-64
 
-    @given(st.data(), st.floats(min_value=1.0, exclude_min=True, allow_nan=False),
+    @given(st.data(), st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
            st.floats(min_value=2.0 ** -64, max_value=1.0, exclude_max=True))
     def test_adjust_equals_scalar_rule(self, data, factor, cap):
         # bit for bit: each element goes through the same two IEEE operations
@@ -195,6 +197,8 @@ class TestLocalFeedback:
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParameter):
             LocalFeedback(factor=1.0)
+        with pytest.raises(InvalidParameter, match="finite"):
+            LocalFeedback(factor=math.inf)
         with pytest.raises(InvalidParameter):
             LocalFeedback(initial=0.0)
         with pytest.raises(InvalidParameter):
