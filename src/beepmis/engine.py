@@ -76,11 +76,10 @@ class _State:
 
     ``status`` holds each node's state, ``_ACTIVE``, ``_JOINED`` or
     ``_DOMINATED``; ``active`` lists the ``_ACTIVE`` nodes in increasing
-    order, ``beep_counts`` per-node counters and ``degree`` row lengths.
+    order and ``beep_counts`` per-node counters.
     """
 
     round: int
-    degree: np.ndarray
     active: np.ndarray
     status: np.ndarray
     beep_counts: np.ndarray
@@ -97,7 +96,6 @@ def _new_state(graph: Graph, policy) -> _State:
     n = graph.node_count
     return _State(
         round=0,
-        degree=np.diff(graph.indptr),
         active=np.arange(n),
         status=np.zeros(n, dtype=np.int8),
         beep_counts=np.zeros(n, dtype=np.int64),
@@ -119,8 +117,7 @@ def _row_entries(graph: Graph, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return graph.indices[offsets]
 
 
-def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
-           queries: np.ndarray) -> np.ndarray:
+def _heard(graph: Graph, beeped: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Flags, aligned with ``queries``, of the query nodes with a beeping neighbour.
 
     Top-down marks the beepers' rows, sum(deg(beeped)) entries.  Bottom-up
@@ -129,15 +126,15 @@ def _heard(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
     rest of the rows whose window held none, ORed per row by
     ``np.logical_or.reduceat``.  Bottom-up is taken when its
     windows, at most ``queries.size * window`` entries, read fewer entries
-    than top-down; both give the same flags.  ``degree`` holds the graph's
-    row lengths.  With no beeper every flag is False and neither kernel runs.
+    than top-down; both give the same flags.  With no beeper every flag is
+    False and neither kernel runs.
     """
     if not beeped.size:
         return np.zeros(queries.size, dtype=bool)
-    beeper_degrees = degree[beeped]
+    beeper_degrees = graph.degree[beeped]
     window = -(-4 * graph.node_count // beeped.size)
     if queries.size * window < np.add.reduce(beeper_degrees):
-        return _heard_bottom_up(graph, degree, beeped, queries, window)
+        return _heard_bottom_up(graph, beeped, queries, window)
     return _heard_top_down(graph, beeped, beeper_degrees, queries)
 
 
@@ -148,14 +145,13 @@ def _heard_top_down(graph: Graph, beeped: np.ndarray, beeper_degrees: np.ndarray
     return marked[queries]
 
 
-def _heard_bottom_up(graph: Graph, degree: np.ndarray, beeped: np.ndarray,
-                     queries: np.ndarray, window: int) -> np.ndarray:
+def _heard_bottom_up(graph: Graph, beeped: np.ndarray, queries: np.ndarray, window: int) -> np.ndarray:
     """The graph needs at least one edge; :func:`_heard` takes this path
     only when some beeper has a neighbour."""
     is_beeper = np.zeros(graph.node_count, dtype=bool)
     is_beeper[beeped] = True
     starts = graph.indptr[queries]
-    degrees = degree[queries]
+    degrees = graph.degree[queries]
     # Every first window as one (window, queries) gather, window-major so that
     # each numpy inner loop runs over all queries.  If every row outlasts the
     # window, no offset needs a clip and every unheard row has a rest.  Else
@@ -229,7 +225,7 @@ def _round(state: _State, graph: Graph,
         state.beep_counts[beeped] += 1
         # A schedule reads heard only for the join test, local feedback for
         # every active node's adjustment.
-        heard = _heard(graph, state.degree, beeped, active if per_node else beeped)
+        heard = _heard(graph, beeped, active if per_node else beeped)
         # A beeper joins exactly when none of its neighbours beeped this round.
         joined = beeped[~heard[beeps]] if per_node else beeped[~heard]
     # The whole slice is adjusted: a node that leaves this round is never
@@ -240,7 +236,7 @@ def _round(state: _State, graph: Graph,
         policy.end_round(pstate)
     if joined.size:
         # A joiner's row holds no joiner of any round: no status leaves _JOINED.
-        state.status[_row_entries(graph, graph.indptr[joined], state.degree[joined])] = _DOMINATED
+        state.status[_row_entries(graph, graph.indptr[joined], graph.degree[joined])] = _DOMINATED
         state.status[joined] = _JOINED
         state.active = active[state.status[active] == _ACTIVE]
     state.round += 1

@@ -89,8 +89,10 @@ def as_real(value, label: str) -> float:
 
 
 def as_node_ids(values, label: str, node_count: int) -> np.ndarray:
-    """``values`` (any nesting) as an int64 array of ids in [0, node_count); an
-    ndarray is judged by its dtype alone, anything else by :func:`as_int` per element."""
+    """``values`` (any nesting; a scalar, None or 0-d array is refused, not read as a set of one)
+    as int64 ids in [0, node_count); an ndarray is judged by its dtype, else :func:`as_int` per element."""
+    if not hasattr(values, "__iter__") or getattr(values, "ndim", 1) == 0:
+        raise InvalidParameter(f"{label}s must be given as an iterable, got {values!r}")
     if not isinstance(values, np.ndarray):
         values = np.array(list(values), dtype=object)
         for example in dict(zip(map(type, values.flat), values.flat)).values():

@@ -32,16 +32,17 @@ def _check_cells(cells: int, what: str) -> None:
 
 
 class Graph:
-    """Undirected simple graph stored as two read-only CSR integer arrays.
+    """Undirected simple graph stored as read-only CSR int64 arrays.
 
-    Invariants (checked by :func:`validate_graph`): ``indptr`` starts at 0,
-    never decreases and ends at ``len(indices)``; every row of ``indices`` is
-    strictly increasing, in range and free of self-loops; and the adjacency
-    is symmetric.  Instances are immutable and therefore safe to share across
-    concurrently executing simulation runs.
+    ``degree`` holds the row lengths, ``np.diff(indptr)``, derived once at
+    construction.  Invariants (checked by :func:`validate_graph`): ``indptr``
+    starts at 0, never decreases and ends at ``len(indices)``; every row of
+    ``indices`` is strictly increasing, in range and free of self-loops; and
+    the adjacency is symmetric.  Instances are immutable and therefore safe
+    to share across concurrently executing simulation runs.
     """
 
-    __slots__ = ("_indptr", "_indices")
+    __slots__ = ("_indptr", "_indices", "_degree")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         node_count = as_int(node_count, "node_count", 0)
@@ -63,7 +64,7 @@ class Graph:
         keys = keys[first]
         rows, indices = np.divmod(keys, max(node_count, 1))
         indptr = np.searchsorted(rows, np.arange(node_count + 1))
-        self._indptr, self._indices = _frozen(indptr), _frozen(indices)
+        self._set_csr(indptr, indices)
 
     @classmethod
     def from_csr(cls, indptr, indices) -> "Graph":
@@ -73,8 +74,14 @@ class Graph:
         :func:`validate_graph` checks the invariants of the result.
         """
         g = object.__new__(cls)
-        g._indptr, g._indices = _frozen(indptr), _frozen(indices)
+        g._set_csr(indptr, indices)
         return g
+
+    def _set_csr(self, indptr, indices) -> None:
+        self._indptr, self._indices = (np.asarray(a, dtype=np.int64) for a in (indptr, indices))
+        self._degree = np.diff(self._indptr)
+        for array in (self._indptr, self._indices, self._degree):
+            array.setflags(write=False)
 
     @property
     def node_count(self) -> int:
@@ -92,6 +99,10 @@ class Graph:
     def indices(self) -> np.ndarray:
         return self._indices
 
+    @property
+    def degree(self) -> np.ndarray:
+        return self._degree
+
     def neighbours(self, v: int) -> tuple[int, ...]:
         """The neighbours of v in increasing order, as Python ints."""
         v, indptr = as_int(v, "node"), self._indptr
@@ -101,7 +112,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.node_count), np.diff(self._indptr))
+        rows = np.repeat(np.arange(self.node_count), self._degree)
         upper = rows < self._indices
         return list(zip(rows[upper].tolist(), self._indices[upper].tolist()))
 
@@ -122,21 +133,16 @@ class Graph:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.asarray(values, dtype=np.int64)
-    array.setflags(write=False)
-    return array
-
-
 def validate_graph(g: Graph) -> None:
     """Raise InvalidParameter unless g satisfies all structural invariants."""
-    indptr, indices = g.indptr, g.indices
+    indptr, indices, degree = g.indptr, g.indices, g.degree
     n = g.node_count
-    if n < 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
-        raise InvalidParameter("indptr must start at 0, never decrease and end at len(indices)")
+    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (degree < 0).any()
+            or not np.array_equal(np.cumsum(degree), indptr[1:])):
+        raise InvalidParameter("indptr must start at 0, never decrease, end at len(indices) and match degree")
     if ((indices < 0) | (indices >= n)).any():
         raise InvalidParameter("neighbour index out of range")
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    rows = np.repeat(np.arange(n), degree)
     if (rows == indices).any():
         raise InvalidParameter(f"self-loop at node {int(rows[np.argmax(rows == indices)])}")
     same_row = rows[1:] == rows[:-1]

@@ -45,7 +45,7 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
     indptr, indices = graph.indptr, graph.indices
     # Entries in CSR order, (v, u) for v ascending and u ascending within a
     # row, so the first flagged entry is the first violation.
-    in_member_row = np.repeat(members, np.diff(indptr))
+    in_member_row = np.repeat(members, graph.degree)
     inside = in_member_row & members[indices]
     witness_edge = None
     if inside.any():

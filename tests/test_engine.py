@@ -218,7 +218,7 @@ class TestStatus:
         st.integers(min_value=0, max_value=2**64 - 1),
     )
     def test_transitions(self, g, policy_text, seed):
-        rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+        rows = np.repeat(np.arange(g.node_count), g.degree)
         state = engine._new_state(g, parse_policy(policy_text))
         draw = engine._batched_draws(seed)
         before = state.status.copy()
@@ -377,7 +377,7 @@ class TestHeard:
                 active = np.flatnonzero(rng.random(n) < 0.8)
                 beeped = active[rng.random(active.size) < fraction]
                 for queries in (beeped, active):
-                    flags = engine._heard(g, np.diff(g.indptr), beeped, queries)
+                    flags = engine._heard(g, beeped, queries)
                     assert flags.tolist() == heard_reference(g, beeped, queries)
         assert calls["top_down"] and calls["bottom_up"]
 
@@ -385,7 +385,7 @@ class TestHeard:
         calls = count_kernel_calls(monkeypatch)
         for g in (erdos_renyi(50, 0.5, 1), STAR, WITH_ISOLATED, Graph(3)):
             n = g.node_count
-            flags = engine._heard(g, np.diff(g.indptr), np.arange(0), np.arange(n))
+            flags = engine._heard(g, np.arange(0), np.arange(n))
             assert flags.dtype == bool and flags.tolist() == [False] * n
         assert calls == {"top_down": 0, "bottom_up": 0}
 
@@ -411,13 +411,12 @@ class TestHeard:
 
 def assert_kernels_equal_set_based_flags(g, beeped):
     n = g.node_count
-    degree = np.diff(g.indptr)
     for queries in (beeped, np.arange(n)):
         expected = heard_reference(g, beeped, queries)
-        assert engine._heard_top_down(g, beeped, degree[beeped], queries).tolist() == expected
+        assert engine._heard_top_down(g, beeped, g.degree[beeped], queries).tolist() == expected
         if g.indices.size:  # bottom-up needs an edge, as _heard guarantees
             for window in range(1, n + 1):
-                flags = engine._heard_bottom_up(g, degree, beeped, queries, window)
+                flags = engine._heard_bottom_up(g, beeped, queries, window)
                 assert flags.tolist() == expected
 
 
@@ -444,9 +443,9 @@ class TestWork:
             read.append(entries.size)
             return entries
 
-        def windows(graph, degree, beeped, queries, window):
+        def windows(graph, beeped, queries, window):
             read.append(queries.size * window)  # the first windows, one 2-D gather
-            return bottom_up(graph, degree, beeped, queries, window)
+            return bottom_up(graph, beeped, queries, window)
 
         monkeypatch.setattr(engine, "_row_entries", counted)
         monkeypatch.setattr(engine, "_heard_bottom_up", windows)
@@ -462,12 +461,12 @@ class TestLinearMemory:
         peak = traced_peak_mib(lambda: run(grid_graph(128, 128), LocalFeedback(), 0))
         assert peak < 32
 
-    @pytest.mark.parametrize("policy, bound", [(LocalFeedback(), 34), (GlobalSweep(), 26)],
+    @pytest.mark.parametrize("policy, bound", [(LocalFeedback(), 26), (GlobalSweep(), 18)],
                              ids=["feedback", "sweep"])
     def test_per_run_state(self, policy, bound):
-        # status (1 byte), active, degree and beep counts (8 each) and, under
-        # feedback, one float64 probability per node: nothing else that the
-        # graph's indptr already implies
+        # status (1 byte), active and beep counts (8 each) and, under feedback,
+        # one float64 probability per node: nothing the graph already holds,
+        # such as its row lengths in degree
         g = path_graph(1 << 16)
         tracemalloc.start()
         try:
@@ -488,13 +487,12 @@ class TestLinearMemory:
         n = 1 + rows + shared + beepers
         g = Graph(n, [(0, v) for v in range(1, rows + 1)]
                   + [(v, w) for v in range(1, rows + 1) for w in range(rows + 1, rows + 1 + shared)])
-        degree = np.diff(g.indptr)
         beeped, queries = np.arange(n - beepers, n), np.arange(rows + 1)
         window = -(-4 * n // beepers)
-        assert degree[queries].min() > window
-        read = queries.size * window + int((degree[queries] - window).sum())
-        assert not engine._heard_bottom_up(g, degree, beeped, queries, window).any()
-        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, degree, beeped, queries, window))
+        assert g.degree[queries].min() > window
+        read = queries.size * window + int((g.degree[queries] - window).sum())
+        assert not engine._heard_bottom_up(g, beeped, queries, window).any()
+        peak = traced_peak_mib(lambda: engine._heard_bottom_up(g, beeped, queries, window))
         assert peak * 2**20 < 64 * read  # eight int64 words per entry read
 
     def test_path_200k_terminates(self):

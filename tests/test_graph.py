@@ -218,8 +218,12 @@ class TestGraphConstruction:
         ([0, 1], "pairs of integers"),
         (np.array([[0.0, 1.0]]), "edge endpoint must be an integer, got an array of float64"),
         (np.array([[True, False]]), "edge endpoint must be an integer, got an array of bool"),
+        (5, "edge endpoints must be given as an iterable, got 5"),
+        (None, "edge endpoints must be given as an iterable, got None"),
+        (np.array(5), r"edge endpoints must be given as an iterable, got array\(5\)"),
     ], ids=["float", "quadruple", "triple", "ragged", "mixed-float", "bool", "bool-among-ints",
-            "numpy-bool-among-ints", "str", "flat", "float-array", "bool-array"])
+            "numpy-bool-among-ints", "str", "flat", "float-array", "bool-array", "scalar", "none",
+            "0-d-array"])
     def test_rejects_edges_that_are_not_integer_pairs(self, edges, message):
         # none of these may be truncated to an edge or regrouped into pairs
         with pytest.raises(InvalidParameter, match=message):
@@ -288,12 +292,23 @@ class TestValidateGraph:
         with pytest.raises(InvalidParameter):
             validate_graph(Graph.from_csr([0, 1, 2, 3], [1, 2, 1]))
 
+    def test_rejects_row_lengths_out_of_step_with_indptr(self):
+        # from_csr freezes the view it is given, not the view's base, so the
+        # base can still move indptr after degree was taken from it
+        base = np.array([0, 1, 3, 4, 99])
+        g = Graph.from_csr(base[:4], [1, 0, 2, 1])
+        base[1] = 2
+        with pytest.raises(InvalidParameter, match="match degree"):
+            validate_graph(g)
+
     def test_arrays_are_read_only(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
             g.indices[0] = 2
         with pytest.raises(ValueError):
             g.indptr[0] = 1
+        with pytest.raises(ValueError):
+            g.degree[0] = 2
 
 
 class TestEdgeListFormat:
@@ -356,6 +371,7 @@ class TestEdgeListFormat:
     @given(small_graphs(max_nodes=12))
     def test_roundtrip(self, g):
         assert parse_edge_list(write_edge_list(g)) == g
+        assert g.degree.dtype == np.int64 and np.array_equal(g.degree, np.diff(g.indptr))
 
     def test_text_roundtrip(self):
         text = "4 2\n0 3\n1 2\n"

@@ -79,6 +79,13 @@ class TestCheckMis:
         with pytest.raises(InvalidParameter, match="candidate node must be an integer, got"):
             check_mis(path_graph(3), candidate)
 
+    @pytest.mark.parametrize("candidate", [1, np.int64(1), None, np.array(1)],
+                             ids=["int", "numpy-int", "none", "0-d-array"])
+    def test_rejects_a_scalar_candidate(self, candidate):
+        # a 0-d array would otherwise be read as the set {1}, which is a MIS of the path
+        with pytest.raises(InvalidParameter, match="candidate nodes must be given as an iterable, got"):
+            check_mis(path_graph(3), candidate)
+
     def test_accepts_numpy_integer_ids(self):
         assert check_mis(path_graph(3), [np.int64(0), np.uint8(2)]).ok
         assert check_mis(path_graph(3), np.array([1], dtype=np.int32)).ok
