@@ -32,13 +32,7 @@ from .metrics import (
     summarize,
     write_records,
 )
-from .policy import (
-    Constant,
-    GlobalSweep,
-    LocalFeedback,
-    parse_policy,
-    sweep_phase_position,
-)
+from .policy import Constant, GlobalSweep, LocalFeedback, parse_policy
 from .seeding import splitmix64, stable_mix
 from .verify import VerifyReport, check_mis, enumerate_mis
 
@@ -78,7 +72,6 @@ __all__ = [
     "splitmix64",
     "stable_mix",
     "summarize",
-    "sweep_phase_position",
     "validate_graph",
     "write_edge_list",
     "write_records",

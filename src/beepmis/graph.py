@@ -19,8 +19,9 @@ import numpy as np
 from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real, parse_decimal
 from .seeding import seed_word
 
-# Most cells a graph build may allocate: one per node, or one per node pair
-# for the dense builders (G(n, p) and cliques).  16 times the largest input in
+# Most cells a graph build may allocate: one per node, one per edge
+# orientation, or one per node pair for the dense builders (G(n, p) and
+# cliques).  16 times the largest input in
 # use (path:1000000, and G(n, p) at n = 1024, both about 2^20 cells), so a
 # mistyped size or file header fails with TooLarge before it exhausts memory.
 _CELL_BUDGET = 1 << 24
@@ -39,7 +40,8 @@ class Graph:
     starts at 0, never decreases and ends at ``len(indices)``; every row of
     ``indices`` is strictly increasing, in range and free of self-loops; and
     the adjacency is symmetric.  Instances are immutable and therefore safe
-    to share across concurrently executing simulation runs.
+    to share across concurrently executing simulation runs; pickled and
+    deep-copied instances are read-only too.
     """
 
     __slots__ = ("_indptr", "_indices", "_degree")
@@ -52,6 +54,7 @@ class Graph:
         if pairs.size and pairs.shape[1:] != (2,):
             raise InvalidParameter("edges must be (u, v) pairs of integers")
         pairs = pairs.reshape(-1, 2)
+        _check_cells(2 * len(pairs), f"graph with {len(pairs)} edges")
         loops = pairs[pairs[:, 0] == pairs[:, 1]].tolist()
         if loops:
             raise InvalidParameter(f"self-loop ({loops[0][0]}, {loops[0][1]}) not allowed")
@@ -71,7 +74,9 @@ class Graph:
         """Wrap CSR arrays as a Graph without checking them.
 
         The fast path for generators that build valid arrays directly;
-        :func:`validate_graph` checks the invariants of the result.
+        :func:`validate_graph` checks the invariants of the result.  The
+        arrays are frozen in place, not copied, together with every array
+        they view, so no reference the caller keeps can move a row.
         """
         g = object.__new__(cls)
         g._set_csr(indptr, indices)
@@ -81,7 +86,13 @@ class Graph:
         self._indptr, self._indices = (np.asarray(a, dtype=np.int64) for a in (indptr, indices))
         self._degree = np.diff(self._indptr)
         for array in (self._indptr, self._indices, self._degree):
-            array.setflags(write=False)
+            while isinstance(array, np.ndarray):
+                array.setflags(write=False)
+                array = array.base
+
+    def __reduce__(self):
+        # Copies and unpickled graphs are rebuilt, and so frozen, by from_csr.
+        return Graph.from_csr, (self._indptr, self._indices)
 
     @property
     def node_count(self) -> int:
@@ -274,6 +285,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header fields must be integers, got {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
         raise ParseError(f"header fields must be nonnegative, got {lines[0]!r}", line=1)
+    _check_cells(n, f"graph on {n} nodes")
+    _check_cells(2 * m, f"edge list of {m} edges")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines))
     seen: set[tuple[int, int]] = set()

@@ -70,20 +70,6 @@ class LocalFeedback:
                         np.minimum(p * self.factor, self.cap))
 
 
-def sweep_phase_position(step: int) -> tuple[int, int]:
-    """Locate a 1-based global step in the sweep schedule.
-
-    Phase k (k >= 1) consists of k+1 steps and starts at step
-    1 + (k-1)(k+2)/2, a triangular number, so the phase index is recovered
-    exactly with an integer square root.  Returns (phase, position) where
-    position counts 0..k within the phase.
-    """
-    step = as_int(step, "sweep step", 1)
-    k = (isqrt(8 * step + 1) - 1) // 2
-    start = 1 + (k - 1) * (k + 2) // 2
-    return k, step - start
-
-
 @dataclass
 class ScheduleState:
     """Global step counter of a node-independent schedule (1-based)."""
@@ -93,16 +79,13 @@ class ScheduleState:
 
 class Schedule:
     """Node-independent policy: in global step s every active node beeps with
-    probability ``at(s)``."""
-
-    def at(self, step: int) -> float:
-        raise NotImplementedError
+    probability ``at(s)``; ``uniform_probability`` reads it at the state's step."""
 
     def initial_state(self, node_count: int) -> ScheduleState:
         return ScheduleState()
 
-    def uniform_probability(self, state: ScheduleState) -> float:
-        return self.at(state.step)
+    def at(self, step: int) -> float:
+        return self.uniform_probability(ScheduleState(as_int(step, "schedule step", 1)))
 
     def end_round(self, state: ScheduleState) -> None:
         state.step += 1
@@ -113,13 +96,18 @@ class GlobalSweep(Schedule):
     every following step of the phase; phase k has k+1 steps.
 
     Produces the sequence 1, 1/2, 1, 1/2, 1/4, 1, 1/2, 1/4, 1/8, ...
+    Phase k (k >= 1) starts at step 1 + (k-1)(k+2)/2 = k(k+1)/2, a triangular
+    number, so the phase of a step is recovered exactly with an integer
+    square root.
     """
 
     name = "sweep"
 
-    def at(self, step: int) -> float:
+    def uniform_probability(self, state: ScheduleState) -> float:
+        step = state.step
+        k = (isqrt(8 * step + 1) - 1) // 2
         # 2^-1074 is the smallest positive double: the probability stays > 0.
-        return ldexp(1.0, -min(sweep_phase_position(step)[1], 1074))
+        return ldexp(1.0, -min(step - k * (k + 1) // 2, 1074))
 
 
 class Constant(Schedule):
@@ -134,7 +122,7 @@ class Constant(Schedule):
     def name(self) -> str:
         return f"const:{_exact(self.probability)}"
 
-    def at(self, step: int) -> float:
+    def uniform_probability(self, state: ScheduleState) -> float:
         return self.probability
 
 

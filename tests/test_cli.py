@@ -176,6 +176,13 @@ class TestCmdRun:
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    def test_edge_list_header_over_cell_budget(self, tmp_path, capsys):
+        # 2 * 8388609 cells is just over the budget of 2^24, and one edge line is all there is
+        p = tmp_path / "g.el"
+        p.write_text("4 8388609\n0 1\n")
+        assert main(["run", "--graph", f"file:{p}", "--policy", "sweep"]) == EXIT_USAGE
+        assert "over the budget" in capsys.readouterr().err
+
     def test_graph_over_cell_budget(self, monkeypatch, capsys):
         monkeypatch.setattr(beepmis.graph, "_CELL_BUDGET", 16)
         assert main(["run", "--graph", "path:16", "--policy", "sweep"]) == EXIT_OK
@@ -539,6 +546,24 @@ class TestEntryPoints:
         done = subprocess.run([sys.executable, "-m", "beepmis.cli", *argv], cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True)
         assert done.returncode == code
+
+    def test_spawned_workers_do_not_change_bytes(self, tmp_path):
+        # a spawned worker imports beepmis.cli afresh and builds its own seed-free graphs
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import multiprocessing\n"
+            "from beepmis.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    for jobs in ('1', '2'):\n"
+            "        assert main(['experiment', '--graph', 'cliquefam', '--policy', 'feedback',\n"
+            "                     '--n', '5', '3', '4', '--trials', '4', '--seed', '2',\n"
+            "                     '--jobs', jobs, '--output', f'jobs{jobs}.csv']) == 0\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
     def test_serial_commands_never_load_the_pool(self, tmp_path):
         # only --jobs > 1 imports the process pool and its modules

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -293,13 +295,19 @@ class TestValidateGraph:
             validate_graph(Graph.from_csr([0, 1, 2, 3], [1, 2, 1]))
 
     def test_rejects_row_lengths_out_of_step_with_indptr(self):
-        # from_csr freezes the view it is given, not the view's base, so the
-        # base can still move indptr after degree was taken from it
-        base = np.array([0, 1, 3, 4, 99])
-        g = Graph.from_csr(base[:4], [1, 0, 2, 1])
-        base[1] = 2
+        g = Graph.from_csr([0, 1, 3, 4], [1, 0, 2, 1])
+        g._degree = np.array([2, 1, 1])
         with pytest.raises(InvalidParameter, match="match degree"):
             validate_graph(g)
+
+    def test_view_base_is_frozen_too(self):
+        # a view's base could otherwise move indptr after degree was taken from it
+        base = np.array([0, 1, 3, 4, 99])
+        g = Graph.from_csr(base[:4], [1, 0, 2, 1])
+        with pytest.raises(ValueError):
+            base[1] = 2
+        validate_graph(g)
+        assert g == path_graph(3)
 
     def test_arrays_are_read_only(self):
         g = path_graph(3)
@@ -309,6 +317,21 @@ class TestValidateGraph:
             g.indptr[0] = 1
         with pytest.raises(ValueError):
             g.degree[0] = 2
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_are_read_only(self, clone):
+        g = erdos_renyi(16, 0.5, 3)
+        h = clone(g)
+        assert h == g and h.degree.tolist() == g.degree.tolist()
+        for array in (h.indptr, h.indices, h.degree):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_shallow_copy_shares_the_arrays(self):
+        g = path_graph(4)
+        h = copy.copy(g)
+        assert h == g and h.indptr is g.indptr and h.indices is g.indices
 
 
 class TestEdgeListFormat:
@@ -394,6 +417,24 @@ class TestCellBudget:
         build(fits)
         with pytest.raises(TooLarge):
             build(too_big)
+
+    @pytest.mark.parametrize("build", [
+        lambda edges: Graph(len(edges) + 1, edges),
+        lambda edges: parse_edge_list(f"{len(edges) + 1} {len(edges)}\n"
+                                      + "".join(f"{u} {v}\n" for u, v in edges)),
+    ], ids=["Graph", "parse_edge_list"])
+    def test_edges_count_against_budget(self, monkeypatch, build):
+        # one cell per edge orientation: 8 edges fit in 16 cells, 9 do not
+        monkeypatch.setattr(graph_module, "_CELL_BUDGET", 16)
+        build([(v, v + 1) for v in range(8)])
+        with pytest.raises(TooLarge, match="18 cells"):
+            build([(v, v + 1) for v in range(9)])
+
+    def test_edge_header_checked_before_any_line(self, monkeypatch):
+        # refused for its size, not for the 9 edge lines it lacks
+        monkeypatch.setattr(graph_module, "_CELL_BUDGET", 16)
+        with pytest.raises(TooLarge, match="edge list of 9 edges"):
+            parse_edge_list("4 9\n")
 
     def test_header_checked_before_allocation(self):
         # at the real budget: the check comes before anything is allocated

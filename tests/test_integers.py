@@ -28,7 +28,6 @@ from beepmis import (
     run,
     splitmix64,
     stable_mix,
-    sweep_phase_position,
 )
 from beepmis.cli import ExperimentSpec, build_run_graph, parse_graph, run_experiment
 from beepmis.metrics import record_to_row
@@ -58,7 +57,8 @@ ENTRY_POINTS = {
     "run-seed": lambda v: run(G, LocalFeedback(), v),
     "run-max_rounds": lambda v: run(G, GlobalSweep(), 1, v),
     "default_max_rounds": default_max_rounds,
-    "sweep_phase_position": sweep_phase_position,
+    "sweep_phase_position": GlobalSweep().at,  # the step whose phase position it reads
+    "Constant.at": Constant(0.5).at,
     "reference_curves": reference_curves,
     "splitmix64": splitmix64,
     "stable_mix-master_seed": lambda v: stable_mix(v, 8, 0),

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "splitmix64",
     "stable_mix",
     "summarize",
-    "sweep_phase_position",
     "validate_graph",
     "write_edge_list",
     "write_records",

@@ -10,9 +10,11 @@ from beepmis import (
     Graph,
     InvalidParameter,
     LocalFeedback,
+    clique_family,
     engine,
     parse_policy,
-    sweep_phase_position,
+    policy as policy_module,
+    run,
 )
 
 from conftest import BEEP, SILENT, scripted_round
@@ -60,8 +62,8 @@ class TestGlobalSweep:
         assert values[:5] == [1, 1 / 2, 1, 1 / 2, 1 / 4]
 
     def test_step_10_starts_phase_4(self):
-        assert sweep_phase_position(10) == (4, 0)
         policy = GlobalSweep()
+        assert policy.at(10) == 1.0 and policy.at(14) == 2.0 ** -4 and policy.at(15) == 1.0
         state = policy.initial_state(1)
         state.step = 10
         assert policy.uniform_probability(state) == 1.0
@@ -89,12 +91,12 @@ class TestGlobalSweep:
     def test_phase_starts_are_triangular(self):
         for k in range(1, 30):
             start = k * (k + 1) // 2
-            assert sweep_phase_position(start) == (k, 0)
-            assert sweep_phase_position(start + k) == (k, k)
+            assert GlobalSweep().at(start) == 1.0
+            assert GlobalSweep().at(start + k) == 2.0 ** -k
 
     def test_rejects_bad_step(self):
-        with pytest.raises(InvalidParameter):
-            sweep_phase_position(0)
+        with pytest.raises(InvalidParameter, match="schedule step"):
+            GlobalSweep().at(0)
 
 
 def scalar_rule(p, heard, factor, cap):
@@ -223,6 +225,28 @@ class TestConstant:
         with pytest.raises(InvalidParameter):
             Constant(1.5)
         Constant(1.0)  # boundary allowed
+
+
+@pytest.mark.parametrize("policy", [GlobalSweep(), Constant(0.5)], ids=["sweep", "const"])
+@pytest.mark.parametrize("step", ["x", 0, 2.5, True])
+def test_at_checks_the_step(policy, step):
+    with pytest.raises(InvalidParameter, match="schedule step must be an integer >= 1"):
+        policy.at(step)
+
+
+def test_rounds_read_the_schedule_without_the_step_check(monkeypatch):
+    # the engine advances the step itself, so only at() checks one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return as_int(*args)
+
+    as_int = policy_module.as_int
+    monkeypatch.setattr(policy_module, "as_int", counted)
+    assert run(clique_family(6), GlobalSweep(), 3).rounds > 0
+    assert calls == []
+    assert GlobalSweep().at(3) == 1.0 and len(calls) == 1
 
 
 class TestParsePolicy:
