@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from math import isqrt
+from numbers import Integral
 from typing import Callable
 
 from . import engine
@@ -59,10 +60,6 @@ FIG_N_VALUES = (16, 32, 64, 128, 256, 512, 1024)
 # mistyped --trials fails with TooLarge before it exhausts memory.
 _ROW_BUDGET = 1 << 20
 
-# Per graph spec, its seed-free graph last built in this process, as (values,
-# graph); graphs are immutable.  run_experiment empties it when it returns.
-_seed_free_graphs: dict[str, tuple[tuple, Graph]] = {}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit 1
@@ -83,10 +80,11 @@ def _integer(minimum: int | None = None) -> Callable[[str], int]:
 class ExperimentSpec:
     """Declarative batch experiment: policies x graph families x sizes x trials.
 
-    ``policies`` and ``graphs`` hold grammar strings; a bare string stands
-    for a tuple of one.  The per-trial seed is stable_mix(master_seed, n,
-    trial_index) with n the requested size value, so trials are independent
-    of execution order and every policy and family of a trial shares it.
+    ``policies`` and ``graphs`` hold grammar strings; a bare string, like a
+    bare integer in ``n_values``, stands for a tuple of one.  The per-trial
+    seed is stable_mix(master_seed, n, trial_index) with n the requested size
+    value, so trials are independent of execution order and every policy and
+    family of a trial shares it.
     """
 
     policies: tuple[str, ...]
@@ -97,8 +95,8 @@ class ExperimentSpec:
     max_rounds: int | None = None
 
     def __post_init__(self):
-        for name in ("policies", "graphs"):
-            if isinstance(getattr(self, name), str):
+        for name, bare in (("policies", str), ("graphs", str), ("n_values", Integral)):
+            if isinstance(getattr(self, name), bare):
                 object.__setattr__(self, name, (getattr(self, name),))
 
 
@@ -177,36 +175,39 @@ def build_run_graph(spec: str, master_seed: int) -> Graph:
     return head.build(*values, graph_seed(master_seed))
 
 
-def run_trial(spec: ExperimentSpec, n: int, trial: int) -> list[TrialRecord]:
-    """Execute one trial of an experiment; pure function of the arguments.
+def run_trial(spec: ExperimentSpec, n: int, trials: range) -> list[TrialRecord]:
+    """Execute a block of trials at one n; pure function of the arguments.
 
-    Each graph spec's graph is built once, a seed-free one once per batch,
-    and every policy runs on it.  Records come back graph-major, then in policy order.
+    A block holds one graph at a time: a seed-free graph is built once per
+    block, a seeded one per trial and dropped before the next is built, and
+    every policy runs on it.  Records come back graph-major, then by trial,
+    then in policy order.  It keeps the name run_trial and its three
+    parameters because tools that time each layer wrap it by name.
     """
     policies = [parse_policy(p) for p in spec.policies]
-    trial_seed = stable_mix(spec.master_seed, n, trial)
     records = []
     for graph in spec.graphs:
         name, head, values = parse_graph(graph, n)
-        if head.seeded:
-            g = head.build(*values, graph_seed(trial_seed))
-        else:
-            cached = _seed_free_graphs.get(graph)
-            if cached is None or cached[0] != values:
-                cached = _seed_free_graphs[graph] = values, head.build(*values, None)
-            g = cached[1]
         param = head.param(*values)
-        for policy in policies:
-            result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
-            records.append(record_from_run(policy.name, name, param, trial, trial_seed, result))
+        g = None  # a block holds one graph at a time: each goes before the next is built
+        for trial in trials:
+            trial_seed = stable_mix(spec.master_seed, n, trial)
+            if head.seeded or g is None:
+                g = None
+                g = head.build(*values, graph_seed(trial_seed))
+            for policy in policies:
+                result = engine.run(g, policy, run_seed(trial_seed), spec.max_rounds)
+                records.append(record_from_run(policy.name, name, param, trial, trial_seed, result))
     return records
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
     """Run trials x |n_values| trials of every (graph family, policy) pair.
 
-    Rows come back graph-major, then policy-major, then sorted by (n,
-    trial), so the result does not depend on how trials were scheduled.
+    Each n's trials are cut into at most one contiguous block per worker, so
+    a seed-free graph is built once per n serially and at most once per
+    worker and n under --jobs.  Rows come back graph-major, then
+    policy-major, then sorted by (n, trial), whatever the schedule.
     """
     # Every count is checked before any graph is built: these here, each n by parse_graph.
     for label in ("policies", "graphs", "n_values"):
@@ -228,27 +229,25 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise InvalidParameter(f"{label} {repeated[0]} is given twice")
-    # Largest n first, so a pool ends on its cheapest trials and no worker
+    # Largest n first, so a pool ends on its cheapest blocks and no worker
     # idles long while another finishes; a pool forks all its workers at the
     # first task, so it starts no more of them than there are tasks.
-    tasks = [(spec, n, trial) for n in sorted(spec.n_values, reverse=True) for trial in range(spec.trials)]
-    workers = min(jobs, len(tasks))
-    try:
-        if workers <= 1:
-            per_trial = list(map(run_trial, *zip(*tasks)))
-        else:
-            # Imported here: the pool's modules (multiprocessing, socket,
-            # subprocess) cost a serial command tens of milliseconds of start-up.
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(spec.n_values) * spec.trials)
+    cuts = min(workers, spec.trials)
+    tasks = [(spec, n, range(spec.trials * i // cuts, spec.trials * (i + 1) // cuts))
+             for n in sorted(spec.n_values, reverse=True) for i in range(cuts)]
+    if workers <= 1:
+        blocks = list(map(run_trial, *zip(*tasks)))
+    else:
+        # Imported here: the pool's modules (multiprocessing, socket,
+        # subprocess) cost a serial command tens of milliseconds of start-up.
+        from concurrent.futures import ProcessPoolExecutor
 
-            chunk = max(1, len(tasks) // (workers * 32))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_trial = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
-    finally:
-        _seed_free_graphs.clear()
-    # Column k of per_trial holds every trial of the k-th (graph, policy) pair;
-    # each head's node count is one-to-one in its cell, so (n, trial) is unique there.
-    return [r for column in zip(*per_trial) for r in sorted(column, key=lambda r: (r.n, r.trial))]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(run_trial, *zip(*tasks)))
+    # Each head's node count is one-to-one in its cell, so (n, trial) is unique per pair.
+    rank = {pair: i for i, pair in enumerate((head, name) for head in heads for name in names)}
+    return sorted((r for block in blocks for r in block), key=lambda r: (rank[r.graph, r.policy], r.n, r.trial))
 
 
 def _groups(records: list[TrialRecord]) -> dict[tuple[str, str, int], list[TrialRecord]]:

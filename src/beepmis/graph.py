@@ -32,6 +32,18 @@ def _check_cells(cells: int, what: str) -> None:
         raise TooLarge(f"{what}: {cells} cells, over the budget of {_CELL_BUDGET}")
 
 
+def _owned(array: np.ndarray) -> np.ndarray:
+    """array, or a copy of it if the end of its base chain is a writeable non-ndarray buffer."""
+    root = array
+    while isinstance(root, np.ndarray):
+        root = root.base
+    try:
+        foreign = root is not None and not memoryview(root).readonly
+    except TypeError:  # no buffer protocol: nothing to tell that it is read-only
+        foreign = True
+    return array.copy() if foreign else array
+
+
 class Graph:
     """Undirected simple graph stored as read-only CSR int64 arrays.
 
@@ -76,14 +88,16 @@ class Graph:
         The fast path for generators that build valid arrays directly;
         :func:`validate_graph` checks the invariants of the result.  The
         arrays are frozen in place, not copied, together with every array
-        they view, so no reference the caller keeps can move a row.
+        they view, so no reference the caller keeps can move a row; an array
+        over a writeable buffer that is not an ndarray (a bytearray, a
+        writable memoryview, an mmap) cannot be frozen and is copied.
         """
         g = object.__new__(cls)
         g._set_csr(indptr, indices)
         return g
 
     def _set_csr(self, indptr, indices) -> None:
-        self._indptr, self._indices = (np.asarray(a, dtype=np.int64) for a in (indptr, indices))
+        self._indptr, self._indices = (_owned(np.asarray(a, dtype=np.int64)) for a in (indptr, indices))
         self._degree = np.diff(self._indptr)
         for array in (self._indptr, self._indices, self._degree):
             while isinstance(array, np.ndarray):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -312,16 +313,39 @@ class TestExperiment:
 
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
         # the pool runs large n first; rows come back sorted by n whatever the spec order
-        # a seed-free graph (cliquefam) is built once per worker and reused
+        # a seed-free graph (cliquefam) is built once per block and reused
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for graph, sizes, nodes in (("er:0.5", ["16", "32"], [16, 32]), ("er:0.5", ["32", "8", "16"], [8, 16, 32]),
-                                    ("cliquefam", ["5", "3", "4"], [18, 40, 75])):
+        for graph, sizes, nodes, trials, jobs in (
+                ("er:0.5", ["16", "32"], [16, 32], 4, 2),
+                ("er:0.5", ["32", "8", "16"], [8, 16, 32], 4, 2),
+                ("cliquefam", ["5", "3", "4"], [18, 40, 75], 4, 2),
+                ("cliquefam", ["5", "3", "4"], [18, 40, 75], 5, 3),  # blocks of 1, 2 and 2 trials
+                ("er:0.5", ["32", "8", "16"], [8, 16, 32], 1, 2)):  # three one-trial blocks
             argv = ["experiment", "--graph", graph, "--policy", "feedback",
-                    "--n", *sizes, "--trials", "4", "--seed", "2"]
+                    "--n", *sizes, "--trials", str(trials), "--seed", "2"]
             main(argv + ["--output", str(a), "--jobs", "1"])
-            main(argv + ["--output", str(b), "--jobs", "2"])
+            main(argv + ["--output", str(b), "--jobs", str(jobs)])
             assert a.read_bytes() == b.read_bytes()
-            assert [r.n for r in read_records(str(a))][::4] == nodes
+            assert [r.n for r in read_records(str(a))][::trials] == nodes
+
+    def test_blocks_cut_each_n_largest_first(self, monkeypatch):
+        # serially one block of every trial per n; a pool gets near-equal
+        # contiguous blocks, at most one per worker and n, and at least one task per worker
+        blocks = count_calls(monkeypatch, cli, "run_trial")
+        builds = count_calls(monkeypatch, cli, "path_graph")
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        spec = ExperimentSpec("feedback", "path", (3, 5, 4), 5, 0)
+        serial = run_experiment(spec)
+        assert [args[1:] for args in blocks] == [(n, range(5)) for n in (5, 4, 3)]
+        assert len(builds) == 3
+        cuts = [range(0, 1), range(1, 3), range(3, 5)]
+        for jobs, trials, expected in ((3, 5, cuts), (2, 1, [range(1)]), (9, 2, [range(1), range(1, 2)])):
+            blocks.clear()
+            builds.clear()
+            records = run_experiment(replace(spec, trials=trials), jobs=jobs)
+            assert records == [r for r in serial if r.trial < trials]
+            assert [args[1:] for args in blocks] == [(n, t) for n in (5, 4, 3) for t in expected]
+            assert len(builds) == len(blocks) > 1
 
     @pytest.mark.parametrize("case", [
         ["--graph", "grid", "--n", "10", "16", "12"],  # three sizes, one 4x4 grid
@@ -370,6 +394,14 @@ class TestExperiment:
         assert sum(map(len, builds)) == 0
         assert len(runs) == 0
         assert not out.exists()
+
+    def test_bare_size_stands_for_a_tuple_of_one(self):
+        # as a bare string does for policies and graphs
+        spec = ExperimentSpec("sweep", "path", 4, 1, 0)
+        assert spec.n_values == (4,)
+        assert run_experiment(spec) == run_experiment(ExperimentSpec("sweep", "path", (4,), 1, 0))
+        with pytest.raises(InvalidParameter, match="n must be an integer >= 1, got 0"):
+            run_experiment(ExperimentSpec("sweep", "path", 0, 1, 0))
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_fail_before_any_trial(self, jobs, tmp_path, monkeypatch, capsys):
@@ -423,21 +455,12 @@ class TestExperiment:
         # the executor forks max_workers processes at once, so two trials get two
         started = []
 
-        class SerialPool:
+        class CountingPool(SerialPool):
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
         # run_experiment imports the executor only when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
                 "--n", "8", "--trials", "2", "--seed", "3"]
@@ -474,6 +497,22 @@ class TestExperiment:
         assert len(runs) == 0
 
 
+class SerialPool:
+    """Stand-in for ProcessPoolExecutor that maps in this process, so patched hooks see the tasks."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def count_calls(monkeypatch, owner, name):
     """Replace owner.name with a wrapper that counts its calls."""
     original = getattr(owner, name)
@@ -508,20 +547,33 @@ class TestEntryPoints:
 
     def test_seed_free_graph_built_once_per_batch(self, tmp_path, monkeypatch, capsys):
         # a clique family or a file ignores the seed: one build per cell for the
-        # whole batch, none kept after it; G(n, p) is built for every trial
+        # whole serial batch; G(n, p) is built for every trial.  A block holds
+        # one graph at a time, and no graph outlives the batch or block that built it.
         families = count_calls(monkeypatch, cli, "clique_family")
         files = count_calls(monkeypatch, cli, "_load_graph_file")
         randoms = count_calls(monkeypatch, cli, "erdos_renyi")
+        graphs, live_at_build = [], []
+        for builder in ("clique_family", "_load_graph_file", "erdos_renyi", "path_graph"):
+            def keep_weakly(*args, build=getattr(cli, builder)):
+                live_at_build.append(sum(ref() is not None for ref in graphs))
+                g = build(*args)
+                graphs.append(weakref.ref(g.indptr))  # a Graph has no weakref slot; its arrays do
+                return g
+            monkeypatch.setattr(cli, builder, keep_weakly)
         (tmp_path / "g.el").write_text(PATH3)
         outputs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         argv = ["lowerbound", "--m", "3", "5", "4", "--trials", "4", "--seed", "9"]
         assert main([*argv, "--output", str(outputs[0])]) == EXIT_OK
         assert sorted(families) == [(3,), (4,), (5,)]
-        assert cli._seed_free_graphs == {}
+        assert len(graphs) == 3 and all(ref() is None for ref in graphs)
         spec = ExperimentSpec("sweep", ("er:0.5", f"file:{tmp_path / 'g.el'}", "path"), (4,), 3, 1)
         records = run_experiment(spec)
         assert len(randoms) == 3 and len(files) == 1
-        assert cli._seed_free_graphs == {}
+        assert len(graphs) == 3 + 5 and all(ref() is None for ref in graphs)
+        block = cli.run_trial(spec, 4, range(3))
+        assert block and len(randoms) == 6 and len(files) == 2
+        assert len(graphs) == 8 + 5 and all(ref() is None for ref in graphs)
+        assert live_at_build == [0] * 13
         # the same bytes and rows as a fresh build for every trial
         fresh = {name: replace(head, seeded=True) for name, head in cli._GRAPH_HEADS.items()}
         monkeypatch.setattr(cli, "_GRAPH_HEADS", fresh)
@@ -529,7 +581,7 @@ class TestEntryPoints:
         assert len(families) == 3 + 12
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         assert run_experiment(spec) == records
-        assert len(files) == 1 + 3
+        assert len(files) == 2 + 3
 
     @pytest.mark.parametrize("argv, code", [
         (["run", "--graph", "path:3", "--policy", "feedback", "--seed", "1"], EXIT_OK),

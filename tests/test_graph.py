@@ -1,5 +1,6 @@
 import copy
 import math
+import mmap
 import pickle
 
 import numpy as np
@@ -24,6 +25,12 @@ from beepmis import (
 
 from conftest import small_graphs
 from reference_graph import reference_erdos_renyi
+
+
+def anonymous_mmap(data: bytes) -> mmap.mmap:
+    m = mmap.mmap(-1, len(data))
+    m[:] = data
+    return m
 
 
 def count_components(g):
@@ -308,6 +315,24 @@ class TestValidateGraph:
             base[1] = 2
         validate_graph(g)
         assert g == path_graph(3)
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda data: memoryview(bytearray(data)), anonymous_mmap],
+                             ids=["bytearray", "memoryview", "mmap"])
+    def test_writeable_foreign_buffer_is_copied(self, wrap):
+        # a buffer that is not an ndarray cannot be frozen, so it would move indptr under degree
+        buf = wrap(np.array([0, 1, 3, 4], dtype=np.int64).tobytes())
+        g = Graph.from_csr(np.frombuffer(buf, dtype=np.int64), [1, 0, 2, 1])
+        buf[8] = 2
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        validate_graph(g)
+        assert g == path_graph(3)
+
+    def test_ndarray_views_and_read_only_buffers_are_kept(self):
+        # only a writeable foreign buffer costs a copy; G(n, p) hands over views of its own arrays
+        base = np.array([0, 1, 3, 4, 99], dtype=np.int64)
+        data = base[:4].tobytes()
+        for indptr in (base[:4], np.frombuffer(data, dtype=np.int64)):
+            assert Graph.from_csr(indptr, [1, 0, 2, 1]).indptr is indptr
 
     def test_arrays_are_read_only(self):
         g = path_graph(3)
