@@ -164,7 +164,9 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
 
 
 def _load_graph_file(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as f:
+    # An undecodable byte reads as a lone surrogate, which no ASCII-decimal
+    # check accepts, so a bad file is a ParseError with its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         return parse_edge_list(f.read())
 
 
@@ -231,8 +233,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialRecord]:
             raise InvalidParameter(f"{label} {repeated[0]} is given twice")
     # Largest n first, so a pool ends on its cheapest blocks and no worker
     # idles long while another finishes; a pool forks all its workers at the
-    # first task, so it starts no more of them than there are tasks.
-    workers = min(jobs, len(spec.n_values) * spec.trials)
+    # first task, so it starts no more of them than there are tasks or CPUs
+    # this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(spec.n_values) * spec.trials, cpus)
     cuts = min(workers, spec.trials)
     tasks = [(spec, n, range(spec.trials * i // cuts, spec.trials * (i + 1) // cuts))
              for n in sorted(spec.n_values, reverse=True) for i in range(cuts)]
@@ -380,7 +384,7 @@ PRESETS = (
 def cmd_verify(args) -> int:
     g = _load_graph_file(args.graph_file)
     candidate = set()
-    with open(args.set_file, "r", encoding="utf-8") as f:
+    with open(args.set_file, "r", encoding="utf-8", errors="surrogateescape") as f:
         for i, raw in enumerate(f.read().splitlines(), start=1):
             text = raw.strip()
             if not text:

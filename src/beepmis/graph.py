@@ -135,12 +135,6 @@ class Graph:
             raise InvalidParameter(f"node {v} out of range for {self.node_count} nodes")
         return tuple(self._indices[indptr[v]:indptr[v + 1]].tolist())
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.node_count), self._degree)
-        upper = rows < self._indices
-        return list(zip(rows[upper].tolist(), self._indices[upper].tolist()))
-
     def adjacency_masks(self) -> list[int]:
         """Per-node neighbour sets as little-endian bitmask integers.
 
@@ -331,6 +325,9 @@ def write_edge_list(g: Graph) -> str:
     Edges are written with u < v in lexicographic order, ASCII decimal, LF
     line endings, so equal graphs serialize to identical bytes.
     """
-    out = [f"{g.node_count} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    # CSR order is (row, column) order, so the entries whose row is below
+    # their column are the edges u < v in lexicographic order.
+    rows = np.repeat(np.arange(g.node_count), g.degree)
+    upper = rows < g.indices
+    return "\n".join([f"{g.node_count} {g.edge_count}",
+                      *map("{} {}".format, rows[upper].tolist(), g.indices[upper].tolist()), ""])

@@ -289,6 +289,36 @@ class TestCmdVerify:
             assert "line 1" in capsys.readouterr().err
 
 
+class TestUndecodableFiles:
+    # A byte that is not UTF-8 is a ParseError naming its line, not a traceback.
+    @pytest.mark.parametrize("argv, graph, entries, line", [
+        (["run", "--graph", "file:{g}", "--policy", "feedback"], b"\xff3 2\n0 1\n1 2\n", None, 1),
+        (["run", "--graph", "file:{g}", "--policy", "feedback"], b"3 2\n0 1\n1 \xff2\n", None, 3),
+        (["experiment", "--graph", "file:{g}", "--policy", "feedback", "--n", "1", "--trials", "1",
+          "--output", "{out}"], b"\xff3 2\n0 1\n1 2\n", None, 1),
+        (["verify", "{g}", "{s}"], PATH3.encode(), b"1\n\xff\n", 2),
+    ], ids=["run-header", "run-edge", "experiment-header", "verify-set"])
+    def test_bad_byte_is_a_parse_error(self, argv, graph, entries, line, tmp_path, capsys):
+        paths = {"g": tmp_path / "g.el", "s": tmp_path / "s.txt", "out": tmp_path / "x.csv"}
+        paths["g"].write_bytes(graph)
+        paths["s"].write_bytes(entries or b"1\n")
+        assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and "Traceback" not in err
+        assert not paths["out"].exists()
+
+    def test_bad_byte_crosses_the_pool(self, tmp_path, monkeypatch, capsys):
+        # two one-trial blocks go to two worker processes, and the worker's error reaches main
+        patch_cpus(monkeypatch, 2)
+        g = tmp_path / "g.el"
+        g.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+        code = main(["experiment", "--graph", f"file:{g}", "--policy", "feedback", "--n", "1",
+                     "--trials", "2", "--jobs", "2", "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "Traceback" not in err
+
+
 class TestExperiment:
     def test_writes_csv_with_summary(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"
@@ -311,9 +341,10 @@ class TestExperiment:
         main(argv + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch, capsys):
         # the pool runs large n first; rows come back sorted by n whatever the spec order
         # a seed-free graph (cliquefam) is built once per block and reused
+        patch_cpus(monkeypatch, 3)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for graph, sizes, nodes, trials, jobs in (
                 ("er:0.5", ["16", "32"], [16, 32], 4, 2),
@@ -334,6 +365,7 @@ class TestExperiment:
         blocks = count_calls(monkeypatch, cli, "run_trial")
         builds = count_calls(monkeypatch, cli, "path_graph")
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        patch_cpus(monkeypatch, 16)
         spec = ExperimentSpec("feedback", "path", (3, 5, 4), 5, 0)
         serial = run_experiment(spec)
         assert [args[1:] for args in blocks] == [(n, range(5)) for n in (5, 4, 3)]
@@ -453,14 +485,8 @@ class TestExperiment:
 
     def test_pool_starts_one_worker_per_task_at_most(self, tmp_path, monkeypatch, capsys):
         # the executor forks max_workers processes at once, so two trials get two
-        started = []
-
-        class CountingPool(SerialPool):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-        # run_experiment imports the executor only when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+        started = counting_pool(monkeypatch)
+        patch_cpus(monkeypatch, 16)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
                 "--n", "8", "--trials", "2", "--seed", "3"]
@@ -469,6 +495,33 @@ class TestExperiment:
         assert main(argv + ["--output", str(b), "--jobs", "1"]) == EXIT_OK
         assert started == [2]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_starts_one_worker_per_cpu_at_most(self, tmp_path, monkeypatch, capsys):
+        # --jobs 5000 would otherwise fork one worker per task at once; no process is started here
+        started = counting_pool(monkeypatch)
+        blocks = count_calls(monkeypatch, cli, "run_trial")
+        patch_cpus(monkeypatch, 2)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["experiment", "--graph", "er:0.5", "--policy", "feedback",
+                "--n", "8", "16", "--trials", "5", "--seed", "3"]
+        assert main(argv + ["--output", str(a), "--jobs", "5000"]) == EXIT_OK
+        assert started == [2]
+        assert [args[1:] for args in blocks] == [(n, t) for n in (16, 8) for t in (range(2), range(2, 5))]
+        assert main(argv + ["--output", str(b), "--jobs", "1"]) == EXIT_OK
+        assert started == [2]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_cpu_count_bounds_the_pool_without_affinity(self, monkeypatch):
+        # where the platform has no affinity call, the machine's CPU count bounds the pool,
+        # and a count the platform cannot tell (None) runs the batch serially
+        started = counting_pool(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        spec = ExperimentSpec("feedback", "path", (4,), 5, 0)
+        serial = run_experiment(spec)
+        for cpus in (3, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_experiment(spec, jobs=5000) == serial
+        assert started == [3]
 
     def test_unwritable_output(self, monkeypatch, capsys):
         # refused before the first trial, not after the last
@@ -495,6 +548,24 @@ class TestExperiment:
         assert "is not a file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
         assert len(runs) == 0
+
+
+def patch_cpus(monkeypatch, count):
+    """Make this process see count usable CPUs, so a pool's size does not depend on the runner."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def counting_pool(monkeypatch):
+    """Replace the executor with a SerialPool that records each pool's max_workers, and return that list."""
+    started = []
+
+    class CountingPool(SerialPool):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+    # run_experiment imports the executor only when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+    return started
 
 
 class SerialPool:

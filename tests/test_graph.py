@@ -327,6 +327,16 @@ class TestValidateGraph:
         validate_graph(g)
         assert g == path_graph(3)
 
+    def test_base_without_buffer_protocol_is_copied(self):
+        # as_strided's view ends its base chain in an object with no buffer to
+        # ask whether it is read-only, so the graph cannot trust it and copies
+        a = np.array([0, 1, 3, 4])
+        g = Graph.from_csr(np.lib.stride_tricks.as_strided(a), [1, 0, 2, 1])
+        a[1] = 2
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        validate_graph(g)
+        assert g == path_graph(3)
+
     def test_ndarray_views_and_read_only_buffers_are_kept(self):
         # only a writeable foreign buffer costs a copy; G(n, p) hands over views of its own arrays
         base = np.array([0, 1, 3, 4, 99], dtype=np.int64)
@@ -415,6 +425,24 @@ class TestEdgeListFormat:
     def test_write_format(self):
         g = Graph(3, [(1, 2), (0, 1)])
         assert write_edge_list(g) == "3 2\n0 1\n1 2\n"
+
+    @given(small_graphs(max_nodes=12))
+    def test_write_matches_edge_by_edge_formatting(self, g):
+        # the writer reads the CSR arrays at once; this writes each upper entry on its own
+        # (test_roundtrip checks that parse_edge_list inverts the writer)
+        n = g.node_count
+        lines = [f"{n} {g.edge_count}"]
+        lines += [f"{u} {v}" for u in range(n) for v in g.neighbours(u) if u < v]
+        assert write_edge_list(g) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("g, text", [
+        (Graph(0), "0 0\n"),
+        (Graph(4), "4 0\n"),
+        (Graph.from_csr([0, 1, 3, 4], [1, 0, 2, 1]), "3 2\n0 1\n1 2\n"),
+    ], ids=["no-nodes", "isolated-nodes", "from-csr"])
+    def test_write_fixed_cases(self, g, text):
+        assert write_edge_list(g) == text
+        assert parse_edge_list(text) == g
 
     @given(small_graphs(max_nodes=12))
     def test_roundtrip(self, g):
