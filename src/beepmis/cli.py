@@ -17,7 +17,8 @@ from numbers import Integral
 from typing import Callable
 
 from . import engine
-from .errors import TEXT_READERS, BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal
+from .errors import (TEXT_READERS, BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal,
+                     text_fields, text_lines)
 from .graph import (
     Graph,
     clique_family,
@@ -165,8 +166,9 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
 
 def _load_graph_file(path: str) -> Graph:
     # An undecodable byte reads as a lone surrogate, which no ASCII-decimal
-    # check accepts, so a bad file is a ParseError with its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    # check accepts, so a bad file is a ParseError with its line.  No newline
+    # translation: parse_edge_list alone decides what ends a line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
         return parse_edge_list(f.read())
 
 
@@ -384,13 +386,13 @@ PRESETS = (
 def cmd_verify(args) -> int:
     g = _load_graph_file(args.graph_file)
     candidate = set()
-    with open(args.set_file, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for i, raw in enumerate(f.read().splitlines(), start=1):
-            text = raw.strip()
-            if not text:
+    with open(args.set_file, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
+        for i, raw in enumerate(text_lines(f.read()), start=1):
+            fields = text_fields(raw)
+            if not fields:
                 continue
             try:
-                node = parse_decimal(text)
+                (node,) = map(parse_decimal, fields)  # one ASCII-decimal field
             except ValueError:
                 raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
             if not 0 <= node < g.node_count:

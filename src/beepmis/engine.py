@@ -19,14 +19,14 @@ marks the beepers' whole rows (top-down) or lets each node that needs an
 answer read a window at the start of its own row, all windows in one 2-D
 gather, and the rest of the row only when the window held no beeper, all
 rests in one segmented OR (bottom-up), whichever reads fewer entries; see
-:func:`_heard`; bottom-up clips no window when every row outlasts it.  A
-round with no beeper runs neither kernel: after its draws only the policy
-update and the round count move.  The only other rows a round reads are
-its joiners'.  Every node joins at most once and, under local feedback,
-beeps O(1) times in expectation, so a feedback run reads O(n + m)
-adjacency in expectation.  A schedule's rounds with many beepers read
-mostly windows: a sweep run on G(512, 1/2) reads about as many entries as
-the graph holds.
+:func:`_heard`; bottom-up clips no window when every row outlasts it.
+With no beeper, :func:`_heard` runs neither kernel, the engine's one
+no-beeper exit: after its draws only the policy update and the round
+count move.  The only other rows a round reads are its joiners'.  Every
+node joins at most once and, under local feedback, beeps O(1) times in
+expectation, so a feedback run reads O(n + m) adjacency in expectation.
+A schedule's rounds with many beepers read mostly windows: a sweep run on
+G(512, 1/2) reads about as many entries as the graph holds.
 """
 
 from __future__ import annotations
@@ -219,15 +219,12 @@ def _round(state: _State, graph: Graph,
     # loop would draw.
     beeps = draw(active.size) < p
     beeped = active[beeps]
-    # A silent round runs no kernel: nobody joins, and ``beeps`` is what all heard.
-    heard, joined = beeps, beeped
-    if beeped.size:
-        state.beep_counts[beeped] += 1
-        # A schedule reads heard only for the join test, local feedback for
-        # every active node's adjustment.
-        heard = _heard(graph, beeped, active if per_node else beeped)
-        # A beeper joins exactly when none of its neighbours beeped this round.
-        joined = beeped[~heard[beeps]] if per_node else beeped[~heard]
+    state.beep_counts[beeped] += 1
+    # A schedule reads heard only for the join test, local feedback for
+    # every active node's adjustment.
+    heard = _heard(graph, beeped, active if per_node else beeped)
+    # A beeper joins exactly when none of its neighbours beeped this round.
+    joined = beeped[~heard[beeps]] if per_node else beeped[~heard]
     # The whole slice is adjusted: a node that leaves this round is never
     # read again, so its probability does not matter.
     if per_node:

@@ -7,7 +7,8 @@ Python or numpy integer or float is taken as the equal float; a bool, a
 string, None, a complex number or an array is refused.  Each caller checks
 the range itself.  Every number read from text (flags, BEEPMIS_SEED, graph
 and policy specs, edge-list, set and CSV files) is ASCII decimal: an integer
-by :func:`parse_decimal`, a real number by :func:`parse_real`.
+by :func:`parse_decimal`, a real number by :func:`parse_real`; edge-list and
+set files split by :func:`text_lines` and :func:`text_fields`.
 """
 
 import operator
@@ -52,6 +53,7 @@ def as_int(value, label: str, minimum: int | None = None) -> int:
 
 
 _DECIMAL = re.compile("-?[0-9]+")
+_FIELD = re.compile("[^ \t]+")
 _REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
@@ -62,6 +64,22 @@ def parse_decimal(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise ParseError(f"not an ASCII decimal integer: {text!r}")
     return int(text)
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of a text file: split at LF only, one CR before each LF dropped
+    (so CRLF reads as LF), and a final LF ends the last line.  Any other line
+    break ``str.splitlines`` knows, a bare CR or U+2028, stays inside its line."""
+    lines = text.split("\n")
+    last = lines.pop()
+    lines = [line.removesuffix("\r") for line in lines]
+    return lines + [last] if last else lines
+
+
+def text_fields(line: str) -> list[str]:
+    """The fields of a line, split at runs of ASCII spaces and tabs; any other
+    white space ``str.split`` knows, such as a no-break space, stays in its field."""
+    return _FIELD.findall(line)
 
 
 def parse_real(text: str) -> float:

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real, parse_decimal
+from .errors import (InvalidParameter, ParseError, TooLarge, as_int, as_node_ids, as_real, parse_decimal,
+                     text_fields, text_lines)
 from .seeding import seed_word
 
 # Most cells a graph build may allocate: one per node, one per edge
@@ -277,14 +278,15 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list interchange format into a Graph.
 
     Format: first line ``n m``, then exactly m lines ``u v`` with
-    0 <= u, v < n and u != v.  Duplicate edges (in either orientation),
-    self-loops, out-of-range indices and malformed lines are rejected with a
-    ParseError carrying the offending line number.
+    0 <= u, v < n and u != v; lines end in LF (CRLF is read too), fields are
+    separated by ASCII spaces or tabs.  Duplicate edges (in either
+    orientation), self-loops, out-of-range indices and malformed lines are
+    rejected with a ParseError carrying the offending line number.
     """
-    lines = text.splitlines()
+    lines = text_lines(text)
     if not lines:
         raise ParseError("empty input, expected header 'n m'", line=1)
-    header = lines[0].split()
+    header = text_fields(lines[0])
     if len(header) != 2:
         raise ParseError(f"expected header 'n m', got {lines[0]!r}", line=1)
     try:
@@ -300,7 +302,7 @@ def parse_edge_list(text: str) -> Graph:
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for i, raw in enumerate(lines[1:], start=2):
-        fields = raw.split()
+        fields = text_fields(raw)
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {raw!r}", line=i)
         try:

@@ -277,6 +277,26 @@ class TestCmdVerify:
             assert main(["verify", g, s]) == EXIT_USAGE
             assert "line 2" in capsys.readouterr().err
 
+    def test_crlf_and_tab_files(self, tmp_path, capsys):
+        g, s = tmp_path / "g.el", tmp_path / "s.txt"
+        g.write_bytes(b"3 2\r\n0\t1\r\n1 2\r\n")
+        s.write_bytes(b"\t1 \r\n\r\n")
+        assert main(["verify", str(g), str(s)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "ok: independent maximal set of size 1"
+
+    def test_only_lf_ends_a_line(self, tmp_path, capsys):
+        # read with newline translation, a bare CR would end the header line
+        g, s = tmp_path / "g.el", tmp_path / "s.txt"
+        g.write_bytes(b"3 2\r0 1\r1 2\r")
+        s.write_bytes(b"1\n")
+        assert main(["verify", str(g), str(s)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: line 1: expected header 'n m'")
+
+    def test_set_entries_split_only_at_spaces_and_tabs(self, tmp_path, capsys):
+        g, s = self.write(tmp_path, PATH3, ["0", "\u00a01"])
+        assert main(["verify", g, s]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: line 2: set entries must be integers")
+
     def test_header_over_cell_budget(self, tmp_path, capsys):
         g, s = self.write(tmp_path, "1000000000 0\n", [0])
         assert main(["verify", g, s]) == EXIT_USAGE

@@ -14,6 +14,7 @@ while it survives, so the expected active count at the start of round t + 1
 is E[A_t] = m·Σ_d d·S_d(t).
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -91,6 +92,14 @@ def family_done(policy: str, m: int) -> np.ndarray:
 def family_mean_rounds(policy: str, m: int) -> float:
     """E[R] on clique_family(m)."""
     return float(np.sum(1 - family_done(policy, m)))
+
+
+def family_moments(policy: str, m: int) -> tuple[float, float]:
+    """(E[R], Var[R]) on clique_family(m): E[R] = Σ_t P(R >= t) and
+    E[R²] = Σ_t (2t - 1)·P(R >= t), t >= 1."""
+    tail = 1 - family_done(policy, m)  # P(R >= t), t = 1..HORIZON + 1
+    mean = float(tail.sum())
+    return mean, float(np.sum((2 * np.arange(1, tail.size + 1) - 1) * tail)) - mean ** 2
 
 
 def simulate(m_values, trials):
@@ -191,3 +200,24 @@ def test_active_count_curve(policy):
         # round 3 has p = 1: every clique of two or more nodes collides, so
         # the curve stalls, the stall behind the lower bound
         assert exact[3] == exact[2]
+
+
+def test_criterion_8_price():
+    # Criterion 8 asks that the sweep/feedback mean-round ratio at m = 4, 6, 8,
+    # 10, over TRIALS runs per policy and m, strictly increase.  Its price from
+    # the exact laws: each ratio's delta-method variance, the policies taken as
+    # independent, gives each step a z, and the union bound over the three
+    # steps bounds the chance that a correct engine fails the gate.  The
+    # bounds were fixed before the first run.
+    ratios, variances = [], []
+    for m in (4, 6, 8, 10):
+        (fb, fb_var), (sw, sw_var) = family_moments("feedback", m), family_moments("sweep", m)
+        ratio = sw / fb
+        ratios.append(ratio)
+        variances.append(ratio ** 2 * (sw_var / sw ** 2 + fb_var / fb ** 2) / TRIALS)
+    assert ratios == pytest.approx([1.5703, 1.6412, 1.7197, 1.7918], abs=1e-4)
+    z = [(b - a) / math.sqrt(u + v)
+         for a, b, u, v in zip(ratios, ratios[1:], variances, variances[1:])]
+    assert z == pytest.approx([2.09, 2.65, 2.63], abs=0.01)
+    failure = sum(math.erfc(score / math.sqrt(2)) / 2 for score in z)
+    assert failure == pytest.approx(0.0268, abs=0.001)

@@ -250,6 +250,11 @@ class TestGraphConstruction:
         assert Graph(4, ((v, v + 1) for v in range(3))) == expected
         assert Graph(4, [(np.int64(0), 1), (1, np.int8(2)), (2, 3)]) == expected
 
+    def test_equality_and_repr(self):
+        assert path_graph(3) != 3
+        assert Graph.__eq__(path_graph(3), 3) is NotImplemented
+        assert repr(path_graph(3)) == "Graph(node_count=3, edge_count=2)"
+
     def test_masks_match_adjacency(self):
         g = Graph(5, [(0, 1), (0, 4), (2, 3)])
         masks = g.adjacency_masks()
@@ -417,6 +422,26 @@ class TestEdgeListFormat:
                 parse_edge_list(text)
             assert exc.value.line == line
         assert parse_edge_list("010 1\n0 9\n") == Graph(10, [(0, 9)])
+
+    @pytest.mark.parametrize("text", ["3 2\r\n0 1\r\n1 2\r\n", "3 2\r\n0 1\r\n1 2",
+                                      "3\t2\n\t0 \t1\n1\t\t2  \n"], ids=["crlf", "crlf-unended", "tabs"])
+    def test_parse_reads_crlf_and_tabs(self, text):
+        assert parse_edge_list(text) == path_graph(3)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 2\n0\u00a01\n1 2\n", 2, "expected 'u v'"),
+        ("3 2\n0\x0b1\n1 2\n", 2, "expected 'u v'"),
+        ("3 2\n0 1\n1\x1c2\n", 3, "expected 'u v'"),
+        ("3 2\u20280 1\u20281 2", 1, "expected header"),
+        ("3 2\r0 1\r1 2\r", 1, "expected header"),
+        ("3 2\n0 1\r\r\n1 2\n", 2, "edge endpoints must be integers"),
+    ], ids=["no-break-space", "vertical-tab", "file-separator", "line-separator", "bare-cr",
+            "two-crs"])
+    def test_parse_splits_only_at_lf_spaces_and_tabs(self, text, line, message):
+        # str.splitlines and str.split take each of these characters as a line break or a separator
+        with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ParseError):
