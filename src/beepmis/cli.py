@@ -298,8 +298,10 @@ _RUN_LINE = ("policy", "graph", "n", "seed", "terminated", "rounds", "total_beep
 
 def cmd_run(args) -> int:
     master = _resolve_seed(args.seed)
+    policy = parse_policy(args.policy)  # a bad policy or round cap is refused before the build
+    if args.max_rounds is not None:
+        as_int(args.max_rounds, "max_rounds", 1)
     g = build_run_graph(args.graph, master)
-    policy = parse_policy(args.policy)
     result = engine.run(g, policy, run_seed(master), args.max_rounds, keep_trace=args.trace)
     record = record_from_run(policy.name, args.graph, "", 0, master, result)
     row = dict(zip(CSV_HEADER, record_to_row(record)))
@@ -391,8 +393,10 @@ def cmd_verify(args) -> int:
             fields = text_fields(raw)
             if not fields:
                 continue
+            if len(fields) != 1:
+                raise ParseError(f"expected one node index, got {raw!r}", i)
             try:
-                (node,) = map(parse_decimal, fields)  # one ASCII-decimal field
+                node = parse_decimal(fields[0])
             except ValueError:
                 raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
             if not 0 <= node < g.node_count:

@@ -300,7 +300,6 @@ def parse_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines))
     seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
     for i, raw in enumerate(lines[1:], start=2):
         fields = text_fields(raw)
         if len(fields) != 2:
@@ -317,8 +316,7 @@ def parse_edge_list(text: str) -> Graph:
         if key in seen:
             raise ParseError(f"duplicate edge ({u}, {v})", line=i)
         seen.add(key)
-        edges.append(key)
-    return Graph(n, np.array(edges, dtype=np.int64))
+    return Graph(n, np.array(list(seen), dtype=np.int64))  # Graph sorts its edges
 
 
 def write_edge_list(g: Graph) -> str:

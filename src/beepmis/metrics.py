@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -121,15 +122,19 @@ def write_records(path: str, records: Iterable[TrialRecord]) -> None:
 
 def read_records(path: str) -> list[TrialRecord]:
     """Read back a CSV written by write_records; any other row raises ParseError with its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:  # decoded whole, so the first bad byte's offset is in the file and names its line
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {data[exc.start:exc.end]!r}", data.count(b"\n", 0, exc.start) + 1) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if (header := next(reader, None)) != list(CSV_HEADER):
+        raise InvalidParameter(f"unexpected CSV header {header!r}")
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise InvalidParameter(f"unexpected CSV header {header!r}")
-        for row in reader:
-            try:  # a wrong field count, boolean or number
-                records.append(TrialRecord(*(_READ[k](t) for k, t in zip(_COLUMN_TYPES, row, strict=True))))
-            except (KeyError, ValueError):
-                raise ParseError(f"malformed row {row!r}", reader.line_num) from None
+    for row in reader:
+        try:  # a wrong field count, boolean or number
+            records.append(TrialRecord(*(_READ[k](t) for k, t in zip(_COLUMN_TYPES, row, strict=True))))
+        except (KeyError, ValueError):
+            raise ParseError(f"malformed row {row!r}", reader.line_num) from None
     return records

@@ -14,21 +14,17 @@ _ENUMERATION_LIMIT = 20
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Result of checking a candidate set.
-
-    A witness is present exactly when the corresponding flag is False:
-    ``witness_edge`` is an edge inside the candidate, ``witness_vertex`` is a
-    node outside the candidate with no neighbour inside it.
+    """Result of checking a candidate set: its two witnesses, each None when
+    there is none.  ``witness_edge`` is an edge inside the candidate and
+    ``witness_vertex`` a node outside it with no neighbour inside it.
     """
 
-    independent: bool
-    maximal: bool
     witness_edge: tuple[int, int] | None = None
     witness_vertex: int | None = None
 
     @property
     def ok(self) -> bool:
-        return self.independent and self.maximal
+        return self.witness_edge is None and self.witness_vertex is None
 
 
 def check_mis(graph: Graph, candidate) -> VerifyReport:
@@ -56,12 +52,7 @@ def check_mis(graph: Graph, candidate) -> VerifyReport:
     dominated = members.copy()
     dominated[indices[in_member_row]] = True
     witness_vertex = None if dominated.all() else int(np.argmin(dominated))
-    return VerifyReport(
-        independent=witness_edge is None,
-        maximal=witness_vertex is None,
-        witness_edge=witness_edge,
-        witness_vertex=witness_vertex,
-    )
+    return VerifyReport(witness_edge, witness_vertex)
 
 
 def enumerate_mis(graph: Graph) -> list[tuple[int, ...]]:

@@ -150,7 +150,7 @@ class TestCmdRun:
 
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         # the engine's sets always pass, so a failing check is forced
-        monkeypatch.setattr(cli, "check_mis", lambda g, mis: VerifyReport(False, True, (0, 1)))
+        monkeypatch.setattr(cli, "check_mis", lambda g, mis: VerifyReport(witness_edge=(0, 1)))
         code = main(["run", "--graph", "path:3", "--policy", "sweep", "--seed", "1"])
         assert code == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out.splitlines()[-1] == "witness: edge (0,1)"
@@ -165,6 +165,19 @@ class TestCmdRun:
 
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["run", "--graph", "path:3", "--policy", "bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("case, message", [
+        (["--policy", "bogus"], "unknown policy 'bogus'"),
+        (["--policy", "feedback", "--max-rounds", "0"], "max_rounds must be an integer >= 1, got 0"),
+    ], ids=["policy", "max-rounds"])
+    def test_bad_run_fails_before_any_build(self, case, message, monkeypatch, capsys):
+        # run's twin of the batch test: a million-node grid is never built
+        builds = [count_calls(monkeypatch, cli, builder) for builder in GRAPH_BUILDERS]
+        runs = count_calls(monkeypatch, engine, "run")
+        assert main(["run", "--graph", "grid:1024,1024", *case]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sum(map(len, builds)) == 0
+        assert len(runs) == 0
 
     def test_feedback_initial_below_floor_is_usage_error(self, capsys):
         code = main(["run", "--graph", "path:3", "--policy", "feedback:init=1e-30"])
@@ -296,6 +309,11 @@ class TestCmdVerify:
         g, s = self.write(tmp_path, PATH3, ["0", "\u00a01"])
         assert main(["verify", g, s]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: line 2: set entries must be integers")
+
+    def test_set_line_holds_one_entry(self, tmp_path, capsys):
+        g, s = self.write(tmp_path, PATH3, ["0", "1 2"])
+        assert main(["verify", g, s]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: expected one node index, got '1 2'\n"
 
     def test_header_over_cell_budget(self, tmp_path, capsys):
         g, s = self.write(tmp_path, "1000000000 0\n", [0])

@@ -221,3 +221,35 @@ def test_criterion_8_price():
     assert z == pytest.approx([2.09, 2.65, 2.63], abs=0.01)
     failure = sum(math.erfc(score / math.sqrt(2)) / 2 for score in z)
     assert failure == pytest.approx(0.0268, abs=0.001)
+
+
+def gate_failure(p: float, seeds: int) -> float:
+    """P(a Binomial(seeds, p) count x fails criterion 5's float test
+    abs(x / seeds - p) <= 0.02), by the exact binomial law."""
+    x = np.arange(seeds + 1)
+    log_choose = np.concatenate([[0.0], np.cumsum(np.log(np.arange(seeds, 0, -1) / x[1:]))])
+    pmf = np.exp(log_choose + x * math.log(p) + (seeds - x) * math.log1p(-p))
+    return float(pmf[np.abs(x / seeds - p) > 0.02].sum())
+
+
+def test_criterion_5_price():
+    # Criterion 5 runs default feedback at 10^4 seeds and asks that K_2's
+    # round-1 frequency be within 0.02 of 1/2, K_3's join frequency within
+    # 0.02 of 3/8, and K_2's mean rounds within 0.1 of E[R].  Its price from
+    # the exact laws: the two binomial tails under the gate's own float test
+    # (4800 and 5200 fail it: 4800 / 10^4 - 0.5 is just below -0.02), the
+    # normal tail of the mean from Var[R], and their union bound.  The bounds
+    # were fixed before the first run.
+    seeds = 10_000
+    k2, k3 = feedback_survival(2), feedback_survival(3)
+    assert (1 - k2[1], 1 - k3[1]) == (0.5, 0.375)
+    assert abs(4800 / seeds - 0.5) > 0.02 and abs(5200 / seeds - 0.5) > 0.02
+    tails = [gate_failure(0.5, seeds), gate_failure(0.375, seeds)]
+    assert tails == pytest.approx([6.594e-5, 3.770e-5], abs=0.001e-5)
+    t = np.arange(1, k2.size)  # E[R²] = Σ_t (2t - 1)·P(R >= t), with P(R >= t) = S_2(t - 1)
+    variance = float(np.sum((2 * t - 1) * k2[:-1]) - k2.sum() ** 2)
+    assert variance == pytest.approx(2.6512, abs=1e-4)
+    z = 0.1 / math.sqrt(variance / seeds)
+    assert z == pytest.approx(6.14, abs=0.01)
+    failure = sum(tails) + math.erfc(z / math.sqrt(2))
+    assert failure == pytest.approx(1.036e-4, abs=0.001e-4)

@@ -153,6 +153,18 @@ class TestRecords:
             read_records(str(path))
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("row, line", [(0, 1), (2, 3)], ids=["header", "second-data-row"])
+    def test_read_names_the_line_of_a_byte_that_is_not_utf8(self, row, line, tmp_path):
+        # rows longer than a text layer's decode chunk, on which csv's line_num names an earlier line
+        path = tmp_path / "bad.csv"
+        write_records(str(path), [make_record(trial=t, policy="f" * 5000) for t in range(3)])
+        lines = path.read_bytes().split(b"\n")
+        lines[row] = lines[row][:3] + b"\xff" + lines[row][3:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=f"^line {line}: not UTF-8: ") as info:
+            read_records(str(path))
+        assert info.value.line == line
+
     def test_read_rejects_alien_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

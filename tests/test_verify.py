@@ -27,37 +27,26 @@ def reference_check_mis(graph, candidate):
                          if u > v and u in members), None)
     witness_vertex = next((v for v in range(graph.node_count) if v not in members
                            and not members.intersection(graph.neighbours(v))), None)
-    return VerifyReport(witness_edge is None, witness_vertex is None, witness_edge, witness_vertex)
+    return VerifyReport(witness_edge, witness_vertex)
 
 
 class TestCheckMis:
     def test_path3_valid(self):
         report = check_mis(path_graph(3), {0, 2})
-        assert report.independent and report.maximal and report.ok
-        assert report.witness_edge is None and report.witness_vertex is None
+        assert report == VerifyReport(None, None) and report.ok
 
     def test_path3_dependent(self):
         report = check_mis(path_graph(3), {0, 1})
-        assert not report.independent
-        assert report.witness_edge == (0, 1)
+        assert report == VerifyReport((0, 1), None) and not report.ok
 
     def test_path5_maximal(self):
         # every outside node (1, 2, 4) has a neighbour in {0, 3}
         report = check_mis(path_graph(5), {0, 3})
-        assert report.independent and report.maximal
+        assert report.witness_edge is None and report.witness_vertex is None
 
     def test_not_maximal_witness(self):
         report = check_mis(path_graph(3), {0})
-        assert report.independent and not report.maximal
-        assert report.witness_vertex == 2
-
-    def test_witness_iff_flag(self):
-        g = complete_graph(4)
-        for size in range(5):
-            for candidate in combinations(range(4), size):
-                report = check_mis(g, candidate)
-                assert (report.witness_edge is None) == report.independent
-                assert (report.witness_vertex is None) == report.maximal
+        assert report == VerifyReport(None, 2) and not report.ok
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameter):
@@ -101,7 +90,7 @@ class TestCheckMis:
     def test_empty_set_maximal_only_for_empty_graph(self):
         assert check_mis(Graph(0), set()).ok
         report = check_mis(Graph(3), set())
-        assert report.independent and not report.maximal
+        assert report == VerifyReport(None, 0)
 
 
 class TestEnumerateMis:
