@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import engine
 from .errors import (TEXT_READERS, BeepMISError, InvalidParameter, ParseError, TooLarge, as_int, parse_decimal,
-                     text_fields, text_lines)
+                     read_text, text_fields, text_lines)
 from .graph import (
     Graph,
     clique_family,
@@ -165,11 +165,7 @@ def parse_graph(spec: str, n: int | None = None) -> tuple[str, GraphHead, tuple]
 
 
 def _load_graph_file(path: str) -> Graph:
-    # An undecodable byte reads as a lone surrogate, which no ASCII-decimal
-    # check accepts, so a bad file is a ParseError with its line.  No newline
-    # translation: parse_edge_list alone decides what ends a line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
-        return parse_edge_list(f.read())
+    return parse_edge_list(read_text(path))
 
 
 def build_run_graph(spec: str, master_seed: int) -> Graph:
@@ -388,20 +384,19 @@ PRESETS = (
 def cmd_verify(args) -> int:
     g = _load_graph_file(args.graph_file)
     candidate = set()
-    with open(args.set_file, "r", encoding="utf-8", errors="surrogateescape", newline="") as f:
-        for i, raw in enumerate(text_lines(f.read()), start=1):
-            fields = text_fields(raw)
-            if not fields:
-                continue
-            if len(fields) != 1:
-                raise ParseError(f"expected one node index, got {raw!r}", i)
-            try:
-                node = parse_decimal(fields[0])
-            except ValueError:
-                raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
-            if not 0 <= node < g.node_count:
-                raise ParseError(f"set entry {node} out of range for {g.node_count} nodes", i)
-            candidate.add(node)
+    for i, raw in enumerate(text_lines(read_text(args.set_file)), start=1):
+        fields = text_fields(raw)
+        if not fields:
+            continue
+        if len(fields) != 1:
+            raise ParseError(f"expected one node index, got {raw!r}", i)
+        try:
+            node = parse_decimal(fields[0])
+        except ValueError:
+            raise ParseError(f"set entries must be integers, got {raw!r}", i) from None
+        if not 0 <= node < g.node_count:
+            raise ParseError(f"set entry {node} out of range for {g.node_count} nodes", i)
+        candidate.add(node)
     code = _report_mis(g, candidate)
     if code == EXIT_OK:
         print(f"ok: independent maximal set of size {len(candidate)}")

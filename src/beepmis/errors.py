@@ -7,8 +7,9 @@ Python or numpy integer or float is taken as the equal float; a bool, a
 string, None, a complex number or an array is refused.  Each caller checks
 the range itself.  Every number read from text (flags, BEEPMIS_SEED, graph
 and policy specs, edge-list, set and CSV files) is ASCII decimal: an integer
-by :func:`parse_decimal`, a real number by :func:`parse_real`; edge-list and
-set files split by :func:`text_lines` and :func:`text_fields`.
+by :func:`parse_decimal`, a real number by :func:`parse_real`.  Every file
+beepmis reads (edge-list, set and CSV files) is decoded by :func:`read_text`,
+and edge-list and set files split by :func:`text_lines` and :func:`text_fields`.
 """
 
 import operator
@@ -64,6 +65,16 @@ def parse_decimal(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise ParseError(f"not an ASCII decimal integer: {text!r}")
     return int(text)
+
+
+def read_text(path: str) -> str:
+    """The file's text, strict UTF-8 and no newline translation; a bad byte is a ParseError with its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:  # decoded whole, so the first bad byte's offset is in the file and names its line
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {data[exc.start:exc.end]!r}", data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def text_lines(text: str) -> list[str]:

@@ -9,7 +9,7 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import TEXT_READERS, EmptySample, InvalidParameter, ParseError, as_int
+from .errors import TEXT_READERS, EmptySample, ParseError, as_int, read_text
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,9 @@ def write_records(path: str, records: Iterable[TrialRecord]) -> None:
 
 def read_records(path: str) -> list[TrialRecord]:
     """Read back a CSV written by write_records; any other row raises ParseError with its line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:  # decoded whole, so the first bad byte's offset is in the file and names its line
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {data[exc.start:exc.end]!r}", data.count(b"\n", 0, exc.start) + 1) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     if (header := next(reader, None)) != list(CSV_HEADER):
-        raise InvalidParameter(f"unexpected CSV header {header!r}")
+        raise ParseError(f"unexpected CSV header {header!r}", 1)
     records = []
     for row in reader:
         try:  # a wrong field count, boolean or number

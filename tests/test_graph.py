@@ -22,6 +22,7 @@ from beepmis import (
     validate_graph,
     write_edge_list,
 )
+from beepmis.errors import read_text
 
 from conftest import small_graphs
 from reference_graph import reference_erdos_renyi
@@ -442,6 +443,25 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match=f"^line {line}: {message}") as exc:
             parse_edge_list(text)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"3 2\r\n0 1\r\n1 \xff2", 3, b"\xff"),
+        (b"3 1\n0 1\n\xc3", 3, b"\xc3"),
+    ], ids=["crlf-unended", "truncated-at-eof"])
+    def test_read_text_names_the_line_of_a_bad_byte(self, data, line, byte, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            read_text(str(path))
+        assert str(exc.value) == f"line {line}: not UTF-8: {byte!r}" and exc.value.line == line
+
+    def test_read_text_decodes_without_translating_newlines(self, tmp_path):
+        # a valid non-ASCII character decodes, and the field rule then refuses it with its own message
+        path = tmp_path / "g.el"
+        path.write_bytes("3 1\r\n0 \u00e9\n".encode())
+        assert read_text(str(path)) == "3 1\r\n0 \u00e9\n"
+        with pytest.raises(ParseError, match="^line 2: edge endpoints must be integers, got '0 \u00e9'$"):
+            parse_edge_list(read_text(str(path)))
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ParseError):

@@ -167,6 +167,8 @@ class TestRecords:
 
     def test_read_rejects_alien_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(InvalidParameter):
-            read_records(str(path))
+        for text in ("a,b,c\n1,2,3\n", ""):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="^line 1: unexpected CSV header") as info:
+                read_records(str(path))
+            assert info.value.line == 1
