@@ -33,16 +33,26 @@ def _check_cells(cells: int, what: str) -> None:
         raise TooLarge(f"{what}: {cells} cells, over the budget of {_CELL_BUDGET}")
 
 
-def _owned(array: np.ndarray) -> np.ndarray:
-    """array, or a copy of it if the end of its base chain is a writeable non-ndarray buffer."""
-    root = array
-    while isinstance(root, np.ndarray):
-        root = root.base
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array frozen with its base chain; a frozen copy if the chain ends in a writeable non-ndarray buffer."""
+    chain = [array]
+    while isinstance(chain[-1], np.ndarray):
+        chain.append(chain[-1].base)
+    root = chain.pop()
     try:
         foreign = root is not None and not memoryview(root).readonly
     except TypeError:  # no buffer protocol: nothing to tell that it is read-only
         foreign = True
-    return array.copy() if foreign else array
+    chain = [array.copy()] if foreign else chain
+    for a in chain:
+        a.setflags(write=False)
+    return chain[0]
+
+
+def _csr_from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, columns) of the sorted distinct keys row * n + column; the columns overwrite keys."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return indptr, np.remainder(keys, max(n, 1), out=keys)
 
 
 class Graph:
@@ -77,10 +87,7 @@ class Graph:
                                        pairs[:, 1] * node_count + pairs[:, 0]]))
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        rows, indices = np.divmod(keys, max(node_count, 1))
-        indptr = np.searchsorted(rows, np.arange(node_count + 1))
-        self._set_csr(indptr, indices)
+        self._set_csr(*_csr_from_keys(keys[first], node_count))
 
     @classmethod
     def from_csr(cls, indptr, indices) -> "Graph":
@@ -98,12 +105,8 @@ class Graph:
         return g
 
     def _set_csr(self, indptr, indices) -> None:
-        self._indptr, self._indices = (_owned(np.asarray(a, dtype=np.int64)) for a in (indptr, indices))
-        self._degree = np.diff(self._indptr)
-        for array in (self._indptr, self._indices, self._degree):
-            while isinstance(array, np.ndarray):
-                array.setflags(write=False)
-                array = array.base
+        self._indptr, self._indices = (_frozen(np.asarray(a, dtype=np.int64)) for a in (indptr, indices))
+        self._degree = _frozen(np.diff(self._indptr))
 
     def __reduce__(self):
         # Copies and unpickled graphs are rebuilt, and so frozen, by from_csr.
@@ -250,10 +253,7 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> Graph:
     # faults per build against 260 this way.
     del words
     adjacent |= adjacent.T
-    flat = np.flatnonzero(adjacent)
-    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
-    flat %= n  # position row * n + column becomes the column
-    return Graph.from_csr(indptr, flat)
+    return Graph.from_csr(*_csr_from_keys(np.flatnonzero(adjacent), n))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -299,7 +299,7 @@ def parse_edge_list(text: str) -> Graph:
     _check_cells(2 * m, f"edge list of {m} edges")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines))
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # key min(u, v) * n + max(u, v) of each edge
     for i, raw in enumerate(lines[1:], start=2):
         fields = text_fields(raw)
         if len(fields) != 2:
@@ -312,11 +312,13 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"edge ({u}, {v}) out of range for {n} nodes", line=i)
         if u == v:
             raise ParseError(f"self-loop ({u}, {v}) not allowed", line=i)
-        key = (u, v) if u < v else (v, u)
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             raise ParseError(f"duplicate edge ({u}, {v})", line=i)
         seen.add(key)
-    return Graph(n, np.array(list(seen), dtype=np.int64))  # Graph sorts its edges
+    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
+    del lines, seen  # else held through Graph's sort: about 70 B more per edge at its peak
+    return Graph(n, np.stack(np.divmod(keys, max(n, 1)), axis=1))  # Graph sorts its edges
 
 
 def write_edge_list(g: Graph) -> str:

@@ -742,6 +742,27 @@ class TestEntryPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_run_and_verify_never_load_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, about 10 ms in a fresh
+        # process: more than a whole grid:128,128 run, so no dedup may use it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys\n"
+            "from beepmis import grid_graph, write_edge_list\n"
+            "from beepmis.cli import main\n"
+            "open('g.el', 'w').write(write_edge_list(grid_graph(4, 4)))\n"
+            "open('s.txt', 'w').write('0\\n2\\n5\\n7\\n8\\n10\\n13\\n15\\n')\n"
+            "for spec in ['path:3', 'grid:8,8', 'er:32,0.5', 'clique:4', 'cliquefam:3', 'file:g.el']:\n"
+            "    for policy in ['feedback', 'sweep']:\n"
+            "        assert main(['run', '--graph', spec, '--policy', policy, '--seed', '1']) == 0\n"
+            "assert main(['verify', 'g.el', 's.txt']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
 
 class TestLowerbound:
     def test_bad_policy_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import copy
 import math
 import mmap
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,3 +542,37 @@ class TestCellBudget:
 
     def test_inputs_in_use_fit(self):
         assert graph_module._CELL_BUDGET >= max(1_000_000, 1024 * 1024)
+
+
+class TestBuildMemory:
+    # grid:256,256's 130,560 edges; bounds per edge of the traced peak of one
+    # build, inputs excluded
+    @pytest.fixture(scope="class")
+    def grid(self):
+        g = grid_graph(256, 256)
+        rows = np.repeat(np.arange(g.node_count), g.degree)
+        upper = rows < g.indices
+        return g, np.stack([rows[upper], g.indices[upper]], axis=1), write_edge_list(g)
+
+    @staticmethod
+    def peak_per_edge(build, g):
+        tracemalloc.start()
+        try:
+            built = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == g
+        return peak / g.edge_count
+
+    def test_graph_from_edges(self, grid):
+        # the pairs' copy, both orientations' keys and their sort: sorted keys
+        # become the columns in place, with no row array beside them
+        g, edges, _ = grid
+        assert self.peak_per_edge(lambda: Graph(g.node_count, edges), g) <= 64
+
+    def test_parse_edge_list(self, grid):
+        # one int key per edge in the duplicate set, not a tuple, and the
+        # lines and that set freed before Graph sorts
+        g, _, text = grid
+        assert self.peak_per_edge(lambda: parse_edge_list(text), g) <= 240

@@ -61,6 +61,11 @@ class TestCheckMis:
         with pytest.raises(InvalidParameter, match=f"candidate node {2**70} out of range"):
             check_mis(path_graph(3), [2**70])
 
+    def test_rejects_uint64_id_past_int64(self):
+        # the int64 cast must refuse this value, not wrap it to a negative id
+        with pytest.raises(InvalidParameter, match=f"candidate node {2**63 + 5} out of range for 3 nodes"):
+            check_mis(path_graph(3), [0, np.uint64(2**63 + 5)])
+
     @pytest.mark.parametrize("candidate", [{1.7}, [0, 2.0], {True}, [0, 2, False], ["1"], [None]],
                              ids=["float", "integral-float", "bool", "bool-among-ints", "str", "none"])
     def test_rejects_non_integer_ids(self, candidate):
