@@ -126,10 +126,6 @@ def as_node_ids(values, label: str, node_count: int) -> np.ndarray:
         values = np.array(list(values), dtype=object)
         for example in dict(zip(map(type, values.flat), values.flat)).values():
             as_int(example, label)  # one element of each type
-        try:  # int64 compares faster than Python ints; an id past 2^63 stays one, to be named below
-            values = values.astype(np.int64)
-        except OverflowError:
-            pass
     elif values.size and values.dtype.kind not in "iu":
         raise InvalidParameter(f"{label} must be an integer, got an array of {values.dtype}")
     # Before the cast: a negative id would wrap around, an int past 2^63 would overflow.

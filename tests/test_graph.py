@@ -573,6 +573,6 @@ class TestBuildMemory:
 
     def test_parse_edge_list(self, grid):
         # one int key per edge in the duplicate set, not a tuple, and the
-        # lines and that set freed before Graph sorts
+        # lines and that set freed before the keys are sorted
         g, _, text = grid
         assert self.peak_per_edge(lambda: parse_edge_list(text), g) <= 240

@@ -62,7 +62,7 @@ class TestCheckMis:
             check_mis(path_graph(3), [2**70])
 
     def test_rejects_uint64_id_past_int64(self):
-        # the int64 cast must refuse this value, not wrap it to a negative id
+        # named as given, not wrapped to a negative id by a cast to int64
         with pytest.raises(InvalidParameter, match=f"candidate node {2**63 + 5} out of range for 3 nodes"):
             check_mis(path_graph(3), [0, np.uint64(2**63 + 5)])
 
